@@ -8,6 +8,9 @@ Usage:
         --write-baseline bench_agent.json bench_scalability.json
     check_bench_regression.py --prefix bench.fault.e4g. \
         --min bench.fault.e4g.ckpt_compression_ratio=3.0 BENCH_fault.json
+    check_bench_regression.py --prefix bench.transfer. \
+        --min bench.transfer.wan_10mbit.65536.MBps=1.0 \
+        --max bench.transfer.wan_10mbit.65536.MBps=1.25 BENCH_transfer.json
 
 The bench binaries (`bench_agent --quick --json out.json`, ...) dump every
 metric gauge; --prefix selects which ones this invocation gates (default:
@@ -23,10 +26,12 @@ together or alone:
     not fail — commit a refreshed baseline (--write-baseline) to start
     gating them.
 
-  * absolute floors (--min NAME=VALUE, repeatable): the named gauge must be
-    present and >= VALUE. Used for acceptance-shaped results that have a
-    hard meaning rather than a drifting baseline — e.g. the E4g checkpoint
-    replication wire-compression ratio must stay >= 3x raw.
+  * absolute bounds (--min / --max NAME=VALUE, repeatable): the named
+    gauge must be present and >= (or <=) VALUE. Used for acceptance-shaped
+    results that have a hard meaning rather than a drifting baseline —
+    e.g. the E4g checkpoint replication wire-compression ratio must stay
+    >= 3x raw, and a shaped link's effective bandwidth must stay at or
+    below its configured rate.
 """
 
 import argparse
@@ -53,6 +58,8 @@ def main():
                         help="gauge-name prefix this invocation gates")
     parser.add_argument("--min", action="append", default=[], metavar="NAME=VALUE",
                         help="absolute floor: gauge NAME must be >= VALUE")
+    parser.add_argument("--max", action="append", default=[], metavar="NAME=VALUE",
+                        help="absolute ceiling: gauge NAME must be <= VALUE")
     parser.add_argument("--max-throughput-drop", type=float, default=0.15,
                         help="fail if throughput < (1 - this) * baseline")
     parser.add_argument("--max-p99-rise", type=float, default=0.25,
@@ -60,8 +67,8 @@ def main():
     parser.add_argument("--write-baseline", action="store_true",
                         help="rewrite the baseline from these results instead of gating")
     args = parser.parse_args()
-    if not args.baseline and not args.min:
-        parser.error("nothing to gate: pass --baseline and/or --min")
+    if not args.baseline and not args.min and not args.max:
+        parser.error("nothing to gate: pass --baseline, --min and/or --max")
     if args.write_baseline and not args.baseline:
         parser.error("--write-baseline needs --baseline")
 
@@ -89,19 +96,21 @@ def main():
     failures = []
     gated = 0
 
-    for spec in args.min:
-        name, _, floor_s = spec.partition("=")
-        floor = float(floor_s)
+    bounds = [(spec, "floor", lambda cur, bound: cur < bound, "<") for spec in args.min]
+    bounds += [(spec, "ceiling", lambda cur, bound: cur > bound, ">") for spec in args.max]
+    for spec, kind, violates, op in bounds:
+        name, _, bound_s = spec.partition("=")
+        bound = float(bound_s)
         gated += 1
         if name not in current:
-            failures.append(f"{name}: missing from current run (floor {floor:g})")
-            print(f"  [FAIL] {name}: missing (floor {floor:g})")
+            failures.append(f"{name}: missing from current run ({kind} {bound:g})")
+            print(f"  [FAIL] {name}: missing ({kind} {bound:g})")
             continue
         cur = current[name]
-        verdict = "FAIL" if cur < floor else "ok"
-        if cur < floor:
-            failures.append(f"{name}: {cur:g} < floor {floor:g}")
-        print(f"  [{verdict:>4}] {name}: {cur:g} vs floor {floor:g}")
+        verdict = "FAIL" if violates(cur, bound) else "ok"
+        if violates(cur, bound):
+            failures.append(f"{name}: {cur:g} {op} {kind} {bound:g}")
+        print(f"  [{verdict:>4}] {name}: {cur:g} vs {kind} {bound:g}")
 
     if args.baseline:
         with open(args.baseline) as f:

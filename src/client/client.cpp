@@ -324,11 +324,17 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
   st = CallStats{};
   st.trace_id = trace::new_trace_id();
   metrics::counter("client.calls_total").inc();
-  // Spans land both in the stats object (for in-process inspection) and in
-  // the registry's span.* histograms (for METRICS_QUERY scrapes).
+  // Spans the client measured land both in the stats object (for in-process
+  // inspection) and in the registry's span.* histograms (for METRICS_QUERY
+  // scrapes). Spans it reconstructs from the server's and agent's reported
+  // timings go into the stats object only: the node that measured them
+  // already recorded them, and each span is counted once.
+  const auto add_derived_span = [&](const char* name, double start_s, double dur_s) {
+    st.spans.push_back(trace::Span{name, start_s, dur_s});
+  };
   const auto add_span = [&](const char* name, double start_s, double dur_s) {
     trace::record_span(st.trace_id, name, start_s, dur_s);
-    st.spans.push_back(trace::Span{name, start_s, dur_s});
+    add_derived_span(name, start_s, dur_s);
   };
 
   proto::SolveRequest request;
@@ -385,8 +391,8 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
     const double queue = std::max(result.queue_seconds, 0.0);
     const double exec = std::max(result.exec_seconds, 0.0);
     const double half_transfer = std::max(io_seconds - queue - exec, 0.0) / 2.0;
-    add_span("server.queue_wait", attempt_start + half_transfer, queue);
-    add_span("server.compute", attempt_start + half_transfer + queue, exec);
+    add_derived_span("server.queue_wait", attempt_start + half_transfer, queue);
+    add_derived_span("server.compute", attempt_start + half_transfer + queue, exec);
     add_span("client.result_transfer", attempt_start + half_transfer + queue + exec,
              half_transfer);
 
@@ -467,7 +473,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
     // before the reply was sent; anchor it at the tail of the query span so
     // span starts stay non-decreasing.
     const double sched = std::clamp(list.value().schedule_seconds, 0.0, query_dur);
-    add_span("agent.schedule", query_start + (query_dur - sched), sched);
+    add_derived_span("agent.schedule", query_start + (query_dur - sched), sched);
     if (list.value().candidates.empty()) {
       if (budgeted) {
         retry_within_budget(

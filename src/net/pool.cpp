@@ -287,12 +287,19 @@ Result<Message> MuxChannel::call(std::uint16_t request_type, const serial::Bytes
     waiters_[key] = &waiter;
   }
 
+  // The header's CRC pass over the payload runs before send_mu_, so
+  // concurrent callers serialize only on the socket write. An armed fault
+  // plan takes send_message's whole-frame path under the lock instead.
+  const bool armed = FaultInjector::instance().armed();
+  std::uint8_t header[serial::kHeaderSize];
+  if (!armed) serial::encode_frame_header(request_type, payload, header);
   Status sent = ok_status();
   {
     // Serialize senders: frames must hit the stream whole. Fault plans and
     // shaping apply exactly as on a dedicated connection.
     std::lock_guard lock(send_mu_);
-    sent = send_message(conn_, request_type, payload, shape);
+    sent = armed ? send_message(conn_, request_type, payload, shape)
+                 : send_framed(conn_, header, payload, shape);
   }
   if (!sent.ok()) {
     {

@@ -47,10 +47,18 @@ struct LinkShape {
   static LinkShape wan() { return LinkShape{0.020, 1.25e6}; }    // ~10 Mb/s, 20 ms
 };
 
-/// Sends a buffer over `conn`, honouring the shape. Chunked writes with
-/// token-bucket sleeps keep the instantaneous rate near bandwidth_Bps even
-/// for transfers much larger than the kernel socket buffer.
-Status shaped_send(TcpConnection& conn, const void* data, std::size_t size,
-                   const LinkShape& shape);
+/// Sends two buffers (a frame header and its payload) over `conn` as one
+/// transfer, honouring the shape. Chunked writes with token-bucket sleeps
+/// keep the instantaneous rate near bandwidth_Bps even for transfers much
+/// larger than the kernel socket buffer; pacing runs across the pair, so the
+/// latency is paid once and a chunk may straddle the header/payload seam.
+Status shaped_send(TcpConnection& conn, const void* head, std::size_t head_size,
+                   const void* body, std::size_t body_size, const LinkShape& shape);
+
+/// Single-buffer form of the above.
+inline Status shaped_send(TcpConnection& conn, const void* data, std::size_t size,
+                          const LinkShape& shape) {
+  return shaped_send(conn, data, size, nullptr, 0, shape);
+}
 
 }  // namespace ns::net

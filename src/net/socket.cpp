@@ -7,8 +7,10 @@
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <string>
 
 #include "common/clock.hpp"
@@ -95,18 +97,30 @@ void TcpConnection::shutdown_both() noexcept {
   if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
 }
 
-Status TcpConnection::send_all(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd_.get(), bytes + sent, size - sent, MSG_NOSIGNAL);
+Status TcpConnection::send_all(const void* first, std::size_t first_size, const void* second,
+                               std::size_t second_size) {
+  iovec iov[2] = {{const_cast<void*>(first), first_size},
+                  {const_cast<void*>(second), second_size}};
+  std::size_t next = 0;  // first iovec with bytes left
+  for (;;) {
+    while (next < 2 && iov[next].iov_len == 0) ++next;
+    if (next == 2) return ok_status();
+    msghdr msg{};
+    msg.msg_iov = iov + next;
+    msg.msg_iovlen = 2 - next;
+    const ssize_t n = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return make_error(ErrorCode::kConnectionClosed, "send(): " + errno_string());
     }
-    sent += static_cast<std::size_t>(n);
+    for (auto left = static_cast<std::size_t>(n); left > 0; ++next) {
+      const std::size_t take = std::min(left, iov[next].iov_len);
+      iov[next].iov_base = static_cast<std::uint8_t*>(iov[next].iov_base) + take;
+      iov[next].iov_len -= take;
+      left -= take;
+      if (iov[next].iov_len > 0) break;
+    }
   }
-  return ok_status();
 }
 
 Status TcpConnection::recv_all(void* data, std::size_t size, double timeout_secs) {

@@ -63,7 +63,12 @@ class TcpConnection {
   void shutdown_both() noexcept;
 
   /// Write the entire buffer; fails on peer reset.
-  Status send_all(const void* data, std::size_t size);
+  Status send_all(const void* data, std::size_t size) { return send_all(data, size, nullptr, 0); }
+
+  /// Write two buffers back to back as one stream, gathered by sendmsg — a
+  /// frame header and its payload go out without a contiguous frame copy.
+  Status send_all(const void* first, std::size_t first_size, const void* second,
+                  std::size_t second_size);
 
   /// Read exactly `size` bytes, waiting up to `timeout_secs` for each chunk.
   /// kConnectionClosed on orderly shutdown, kTimeout on inactivity.

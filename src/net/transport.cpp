@@ -31,8 +31,10 @@ Result<std::optional<FaultMode>> roll_send_fault(TcpConnection& conn, std::uint1
 
 Status send_message(TcpConnection& conn, std::uint16_t type, const serial::Bytes& payload,
                     const LinkShape& shape) {
-  serial::Bytes frame = serial::build_frame(type, payload);
   if (FaultInjector::instance().armed()) {
+    // Fault plans act on whole frames (a corruption flips bytes in place, a
+    // reset sends half of one), so only this path assembles the frame.
+    serial::Bytes frame = serial::build_frame(type, payload);
     auto fault = roll_send_fault(conn, type, frame);
     if (!fault.ok()) return fault.error();
     if (fault.value()) {
@@ -65,8 +67,16 @@ Status send_message(TcpConnection& conn, std::uint16_t type, const serial::Bytes
           break;  // connect-only, never returned for sends
       }
     }
+    return shaped_send(conn, frame.data(), frame.size(), shape);
   }
-  return shaped_send(conn, frame.data(), frame.size(), shape);
+  std::uint8_t header[serial::kHeaderSize];
+  serial::encode_frame_header(type, payload, header);
+  return send_framed(conn, header, payload, shape);
+}
+
+Status send_framed(TcpConnection& conn, const std::uint8_t header[serial::kHeaderSize],
+                   const serial::Bytes& payload, const LinkShape& shape) {
+  return shaped_send(conn, header, serial::kHeaderSize, payload.data(), payload.size(), shape);
 }
 
 serial::Bytes encode_busy_payload(double retry_after_s) {

@@ -39,9 +39,17 @@ double decode_busy_retry_after(const serial::Bytes& payload, double fallback = 0
 /// one bad header cannot take out the process.
 inline constexpr std::size_t kClientMaxFrameBytes = 256u << 20;  // 256 MiB
 
-/// Serialize `payload` under `type` and send it as one frame, shaped.
+/// Serialize `payload` under `type` and send it as one frame, shaped. The
+/// header and payload leave in one gathered write; only an armed fault plan,
+/// which damages the frame in place, assembles a contiguous copy.
 Status send_message(TcpConnection& conn, std::uint16_t type, const serial::Bytes& payload,
                     const LinkShape& shape = LinkShape::unshaped());
+
+/// The unarmed half of send_message: write a header already built by
+/// serial::encode_frame_header, then its payload. Lets a caller that shares
+/// the socket (MuxChannel) run the CRC pass before taking its send lock.
+Status send_framed(TcpConnection& conn, const std::uint8_t header[serial::kHeaderSize],
+                   const serial::Bytes& payload, const LinkShape& shape = LinkShape::unshaped());
 
 /// Receive one complete frame; validates magic, version, size and CRC.
 /// Payloads over `max_payload` are rejected at header-decode time (counted

@@ -1,4 +1,8 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected) for frame integrity checks.
+//
+// One implementation (slicing-by-8, portable C++) serves wire frames, the
+// job journal and spill files; its output is the standard CRC-32, so data
+// written by any earlier build still verifies.
 #pragma once
 
 #include <cstddef>

@@ -64,12 +64,8 @@ Result<FrameHeader> decode_header(const std::uint8_t data[kHeaderSize],
 }
 
 Bytes build_frame(std::uint16_t type, const Bytes& payload) {
-  FrameHeader header;
-  header.type = type;
-  header.length = static_cast<std::uint32_t>(payload.size());
-  header.crc = frame_crc(type, header.length, payload);
   Bytes frame(kHeaderSize + payload.size());
-  encode_header(header, frame.data());
+  encode_frame_header(type, payload, frame.data());
   if (!payload.empty()) {
     std::memcpy(frame.data() + kHeaderSize, payload.data(), payload.size());
   }

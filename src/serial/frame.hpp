@@ -52,8 +52,8 @@ Bytes build_frame(std::uint16_t type, const Bytes& payload);
 
 /// Write just the kHeaderSize header (with the CRC computed over type +
 /// length + payload) for a frame whose payload will travel as a separate
-/// buffer — the reactor's scatter-gather write path sends header and payload
-/// as two iovecs instead of assembling a contiguous frame copy.
+/// buffer — net::send_message and the reactor send header and payload as two
+/// iovecs instead of assembling a contiguous frame copy.
 void encode_frame_header(std::uint16_t type, const Bytes& payload,
                          std::uint8_t out[kHeaderSize]);
 

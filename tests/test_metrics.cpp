@@ -169,3 +169,43 @@ TEST(Metrics, MetricsQueryScrapesLiveCluster) {
     EXPECT_EQ(entry.name.rfind("server.", 0), 0u) << entry.name;
   }
 }
+
+// Each span is recorded once, by the node that measured it. The client
+// reconstructs server.queue_wait, server.compute and agent.schedule into its
+// CallStats from the timings the server and agent report, but those must not
+// reach the registry a second time: in an in-process cluster (one shared
+// registry) the server-side histogram gains exactly one sample per call.
+TEST(Metrics, ServerAndAgentSpansAreCountedOncePerCall) {
+  testkit::ClusterConfig config;
+  config.servers = testkit::uniform_pool(2, /*workers=*/1);
+  config.rating_base = 1000.0;
+  auto cluster = testkit::TestCluster::start(std::move(config));
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  auto client = cluster.value()->make_client();
+
+  auto& compute = metrics::histogram("span.server.compute_s");
+  auto& queue_wait = metrics::histogram("span.server.queue_wait_s");
+  auto& schedule = metrics::histogram("span.agent.schedule_s");
+  const std::uint64_t compute_before = compute.count();
+  const std::uint64_t queue_before = queue_wait.count();
+  const std::uint64_t schedule_before = schedule.count();
+
+  constexpr std::uint64_t kCalls = 6;
+  for (std::uint64_t i = 0; i < kCalls; ++i) {
+    client::CallStats stats;
+    auto out = client.netsl("simwork", {dsl::DataObject(std::int64_t{2})}, &stats);
+    ASSERT_TRUE(out.ok()) << out.error().to_string();
+    ASSERT_EQ(stats.attempts, 1);
+    // The reconstructed spans still reach the caller.
+    const auto has = [&](const char* name) {
+      return std::any_of(stats.spans.begin(), stats.spans.end(),
+                         [&](const trace::Span& s) { return s.name == name; });
+    };
+    EXPECT_TRUE(has("server.compute"));
+    EXPECT_TRUE(has("server.queue_wait"));
+    EXPECT_TRUE(has("agent.schedule"));
+  }
+  EXPECT_EQ(compute.count() - compute_before, kCalls);
+  EXPECT_EQ(queue_wait.count() - queue_before, kCalls);
+  EXPECT_EQ(schedule.count() - schedule_before, kCalls);
+}

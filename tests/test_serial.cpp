@@ -1,14 +1,22 @@
 // Unit + property tests for ns_serial: codec round-trips, bounds checking,
-// CRC32, frame encode/decode.
+// CRC32 (differential against a bitwise reference), frame encode/decode,
+// and golden bytes pinning the on-wire and on-disk CRC-framed formats.
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
+#include "common/memgov.hpp"
 #include "common/rng.hpp"
 #include "serial/codec.hpp"
 #include "serial/crc32.hpp"
 #include "serial/frame.hpp"
+#include "server/journal.hpp"
 
 namespace ns::serial {
 namespace {
@@ -255,6 +263,134 @@ TEST(Crc32Test, SensitiveToSingleBitFlip) {
   const auto base = crc32(data.data(), data.size());
   data[17] = 'b';
   EXPECT_NE(crc32(data.data(), data.size()), base);
+}
+
+// The simplest correct CRC-32: bit at a time, reflected 0xEDB88320. The
+// table-driven implementation must agree with it on every input.
+std::uint32_t reference_crc32_update(std::uint32_t crc, const std::uint8_t* data,
+                                     std::size_t size) {
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) crc = (crc & 1u) ? (0xedb88320u ^ (crc >> 1)) : (crc >> 1);
+  }
+  return crc;
+}
+
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
+  return crc32_final(reference_crc32_update(kCrc32Init, data, size));
+}
+
+Bytes random_bytes(Rng& rng, std::size_t size) {
+  Bytes bytes(size);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(0xc3c32);
+  const Bytes buf = random_bytes(rng, 4099 + 8);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);  // every tail shape
+  for (int i = 0; i < 200; ++i) {
+    lengths.push_back(static_cast<std::size_t>(rng.uniform_int(0, 4099)));
+  }
+  for (const std::size_t n : lengths) {
+    for (std::size_t align = 0; align < 8; ++align) {
+      const std::uint8_t* p = buf.data() + align;
+      ASSERT_EQ(crc32(p, n), reference_crc32(p, n)) << "length " << n << " offset " << align;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceOnLargeBuffers) {
+  Rng rng(0x1a2be);
+  for (const std::size_t n : {std::size_t{1} << 20, (std::size_t{16} << 20) + 7}) {
+    const Bytes buf = random_bytes(rng, n);
+    EXPECT_EQ(crc32(buf.data(), buf.size()), reference_crc32(buf.data(), buf.size()))
+        << "length " << n;
+  }
+}
+
+TEST(Crc32Test, RandomSplitsChainThroughUpdate) {
+  Rng rng(0x5917);
+  for (int iter = 0; iter < 200; ++iter) {
+    const Bytes buf = random_bytes(rng, static_cast<std::size_t>(rng.uniform_int(0, 4099)));
+    std::uint32_t crc = kCrc32Init;
+    std::size_t at = 0;
+    while (at < buf.size()) {
+      const auto step = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(buf.size() - at)));
+      crc = crc32_update(crc, buf.data() + at, step);
+      at += step;
+    }
+    ASSERT_EQ(crc32_final(crc), reference_crc32(buf.data(), buf.size()))
+        << "iteration " << iter << " length " << buf.size();
+  }
+}
+
+// ---- golden bytes ----
+//
+// Hex images captured from the bytewise-CRC implementation. Old peers, old
+// journals and old spill files must keep verifying, so these never change
+// unless the formats themselves do.
+
+Bytes from_hex(const std::string& hex) {
+  Bytes out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+Bytes golden_payload() {
+  Bytes payload(37);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  return payload;
+}
+
+TEST(GoldenBytesTest, FrameImageIsPinned) {
+  const Bytes expected = from_hex(
+      "4e53563101000201250000006e84ac81"
+      "030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff");
+  EXPECT_EQ(build_frame(0x0102, golden_payload()), expected);
+  std::uint8_t header[kHeaderSize];
+  encode_frame_header(0x0102, golden_payload(), header);
+  EXPECT_EQ(Bytes(header, header + kHeaderSize), Bytes(expected.begin(), expected.begin() + 16));
+  EXPECT_EQ(build_frame(0x0102, {}), from_hex("4e535631010002010000000018296ac1"));
+}
+
+TEST(GoldenBytesTest, JournalRecordIsPinned) {
+  server::JournalRecord rec;
+  rec.type = server::JournalRecordType::kCheckpoint;
+  rec.request_id = 0x0123456789abcdefull;
+  rec.wall_micros = 1700000000000000ll;
+  rec.deadline_remaining_s = 2.5;
+  rec.iteration = 40;
+  rec.residual = 1e-9;
+  rec.data = {1, 2, 3, 4};
+  Bytes out;
+  rec.frame(out);
+  EXPECT_EQ(out, from_hex("310000003e3cbf7703efcdab896745230100401e18240a0600000000000000044028"
+                          "0000000000000095d626e80b2e113e0400000001020304"));
+}
+
+TEST(GoldenBytesTest, SpillFileHeaderIsPinned) {
+  char tmpl[] = "/tmp/ns_golden_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  mem::SpillStore store;
+  store.configure(dir);
+  std::vector<std::uint8_t> bytes(100);
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<std::uint8_t>(255 - i * 3);
+  ASSERT_TRUE(store.save(77, bytes).ok());
+  std::ifstream in(dir + "/77.spill", std::ios::binary);
+  const Bytes file((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  ASSERT_EQ(file.size(), 16u + bytes.size());
+  EXPECT_EQ(Bytes(file.begin(), file.begin() + 16), from_hex("5053534e7e7a157c6400000000000000"));
 }
 
 // ---- frames ----

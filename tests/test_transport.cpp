@@ -7,6 +7,7 @@
 // optionally sleeping first when the payload says so — enough to script
 // out-of-order completions and deadline races without a full server.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -299,6 +300,75 @@ TEST(ReactorTest, TruncatedHeaderThenCloseIsHarmless) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(payload_id(reply.value().payload), 32u);
   EXPECT_TRUE(eventually_conn_count(server.reactor(), 1));
+}
+
+// ---- send path ----
+
+// send_message writes header and payload as two gathered buffers; the bytes
+// on the wire must be exactly the contiguous build_frame image, whether the
+// write goes out in one sendmsg or is paced in chunks that straddle the
+// header/payload seam.
+TEST(SendPathTest, TwoBufferSendMatchesBuildFrameOnTheWire) {
+  const std::vector<std::size_t> sizes = {0, 1, (64u << 10) + 3};
+  const std::vector<LinkShape> shapes = {LinkShape::unshaped(), LinkShape{0.001, 50e6}};
+  for (const auto& shape : shapes) {
+    for (const std::size_t size : sizes) {
+      SCOPED_TRACE("payload " + std::to_string(size) + " B, " +
+                   (shape.is_unshaped() ? "unshaped" : "shaped"));
+      int fds[2];
+      ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+      TcpConnection tx{FdHandle(fds[0])};
+      TcpConnection rx{FdHandle(fds[1])};
+      serial::Bytes payload(size);
+      for (std::size_t i = 0; i < size; ++i) payload[i] = static_cast<std::uint8_t>(i * 13 + 5);
+      const serial::Bytes expected = serial::build_frame(kEchoReq, payload);
+
+      serial::Bytes wire(expected.size());
+      std::thread reader([&] { ASSERT_TRUE(rx.recv_all(wire.data(), wire.size(), 5.0).ok()); });
+      ASSERT_TRUE(send_message(tx, kEchoReq, payload, shape).ok());
+      reader.join();
+      EXPECT_EQ(wire, expected);
+
+      // Nothing trails the frame.
+      tx.close();
+      std::uint8_t extra = 0;
+      auto tail = rx.recv_all(&extra, 1, 1.0);
+      ASSERT_FALSE(tail.ok());
+      EXPECT_EQ(tail.error().code, ErrorCode::kConnectionClosed);
+    }
+  }
+}
+
+// The mux channel computes the frame CRC outside its send lock, but an armed
+// fault plan still takes the whole-frame path: a corrupted request reaches
+// the peer as kCorruptFrame, and a corrupted reply surfaces to the mux
+// caller as kCorruptFrame.
+TEST(MuxTest, ArmedCorruptPlanSurfacesCorruptFrame) {
+  auto listener = TcpListener::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(listener.ok());
+  const Endpoint endpoint = listener.value().endpoint();
+  auto& pool = ConnectionPool::instance();
+  pool.clear();
+  auto channel = pool.channel(endpoint, 2.0);
+  ASSERT_TRUE(channel.ok());
+  auto accepted = listener.value().accept(2.0);
+  ASSERT_TRUE(accepted.ok());
+
+  // One plan on the listen address covers both directions of the link.
+  FaultInjector::instance().arm(endpoint, FaultPlan::single(FaultMode::kCorrupt, 1.0));
+  std::thread peer([&] {
+    auto request = recv_message(accepted.value(), 5.0);
+    ASSERT_FALSE(request.ok());
+    EXPECT_EQ(request.error().code, ErrorCode::kCorruptFrame);
+    ASSERT_TRUE(send_message(accepted.value(), kEchoRep, make_payload(5)).ok());
+  });
+  auto reply = channel.value()->call(kEchoReq, make_payload(5), kEchoRep, 5, 5.0);
+  peer.join();
+  FaultInjector::instance().disarm_all();
+  pool.clear();
+
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.error().code, ErrorCode::kCorruptFrame) << reply.error().to_string();
 }
 
 // ---- task pool ----
