@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "linalg/kernel.hpp"
+
 namespace ns::linalg {
 
 void axpy(double alpha, const Vector& x, Vector& y) noexcept {
@@ -79,30 +81,8 @@ void ger(double alpha, const Vector& x, const Vector& y, Matrix& a) {
 void gemm(double alpha, const Matrix& a, const Matrix& b, double beta, Matrix& c) {
   assert(a.cols() == b.rows());
   assert(c.rows() == a.rows() && c.cols() == b.cols());
-  if (beta == 0.0) {
-    std::fill(c.storage().begin(), c.storage().end(), 0.0);
-  } else if (beta != 1.0) {
-    scal(beta, c.storage());
-  }
-  const std::size_t m = a.rows();
-  const std::size_t k = a.cols();
-  const std::size_t n = b.cols();
-  constexpr std::size_t kBlock = 64;
-  for (std::size_t jj = 0; jj < n; jj += kBlock) {
-    const std::size_t j_end = std::min(jj + kBlock, n);
-    for (std::size_t kk = 0; kk < k; kk += kBlock) {
-      const std::size_t k_end = std::min(kk + kBlock, k);
-      for (std::size_t j = jj; j < j_end; ++j) {
-        double* cj = c.col(j);
-        for (std::size_t l = kk; l < k_end; ++l) {
-          const double blj = alpha * b(l, j);
-          if (blj == 0.0) continue;
-          const double* al = a.col(l);
-          for (std::size_t i = 0; i < m; ++i) cj[i] += al[i] * blj;
-        }
-      }
-    }
-  }
+  kernel::gemm(a.rows(), b.cols(), a.cols(), alpha, a.data(), a.rows(), b.data(), b.rows(),
+               /*b_transposed=*/false, beta, c.data(), c.rows());
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
@@ -113,8 +93,7 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 
 double residual_inf(const Matrix& a, const Vector& x, const Vector& b) {
   Vector r(b);
-  gemv(1.0, a, x, -1.0, r);  // r = A x - b (gemv computes Ax + (-1)*r... see below)
-  // gemv computed r = 1*A*x + (-1)*b_copy, i.e. Ax - b. Max norm:
+  gemv(1.0, a, x, -1.0, r);  // r = 1 * A x + (-1) * b
   double m = 0.0;
   for (const double v : r) m = std::max(m, std::abs(v));
   return m;

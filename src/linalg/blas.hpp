@@ -38,8 +38,8 @@ void ger(double alpha, const Vector& x, const Vector& y, Matrix& a);
 
 // ---- Level 3 ----
 
-/// C = alpha * A B + beta * C. Blocked for cache behaviour; the j-k-i loop
-/// order keeps the innermost accesses contiguous in column-major storage.
+/// C = alpha * A B + beta * C through the packed kernel in linalg/kernel.hpp.
+/// beta == 0 overwrites C without reading it.
 void gemm(double alpha, const Matrix& a, const Matrix& b, double beta, Matrix& c);
 
 /// Convenience: C = A B.

@@ -8,8 +8,10 @@ namespace ns::linalg {
 
 class CholeskyFactorization {
  public:
-  /// Factor A = L L^T. Fails with kExecutionFailed if A is not (numerically)
-  /// positive definite. Only the lower triangle of A is read.
+  /// Factor A = L L^T, right-looking and blocked, with the trailing updates
+  /// through kernel::gemm. Fails with kExecutionFailed if A is not
+  /// (numerically) positive definite and kCancelled when the thread's
+  /// cancel token trips. Only the lower triangle of A is read.
   static Result<CholeskyFactorization> factor(const Matrix& a);
 
   /// Solve A x = b via two triangular solves.

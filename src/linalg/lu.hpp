@@ -12,14 +12,16 @@ namespace ns::linalg {
 
 class LuFactorization {
  public:
-  /// Factor A = P L U in place (A must be square). Fails with
-  /// kExecutionFailed on exact singularity.
+  /// Factor A = P L U in place (A must be square): right-looking and
+  /// blocked, with the trailing updates through kernel::gemm. Fails with
+  /// kExecutionFailed on exact singularity and kCancelled when the
+  /// thread's cancel token trips.
   static Result<LuFactorization> factor(Matrix a);
 
   /// Solve A x = b for one right-hand side.
   Result<Vector> solve(const Vector& b) const;
 
-  /// Solve A X = B column by column.
+  /// Solve A X = B column by column, in place in the result.
   Result<Matrix> solve(const Matrix& b) const;
 
   /// det(A) from the diagonal of U and the pivot parity.
@@ -32,6 +34,9 @@ class LuFactorization {
  private:
   LuFactorization(Matrix lu, std::vector<int> pivots, int sign)
       : lu_(std::move(lu)), pivots_(std::move(pivots)), pivot_sign_(sign) {}
+
+  /// Overwrite x (order() entries) with A^-1 x.
+  void solve_in_place(double* x) const;
 
   Matrix lu_;                // L below diagonal (unit), U on/above
   std::vector<int> pivots_;  // row swapped with i at step i
