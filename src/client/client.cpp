@@ -26,28 +26,9 @@ serial::Bytes encode_payload(const auto& msg) {
 Result<net::Message> round_trip(const net::Endpoint& peer, std::uint16_t type,
                                 const serial::Bytes& payload, double timeout,
                                 const net::LinkShape& shape = net::LinkShape::unshaped(),
-                                double connect_timeout = 5.0, bool pooled = true) {
-  if (pooled) {
-    return net::pool_round_trip(peer, type, payload, timeout,
-                                std::min(timeout, connect_timeout), shape);
-  }
-  auto conn = net::TcpConnection::connect(peer, std::min(timeout, connect_timeout));
-  if (!conn.ok()) return conn.error();
-  NS_RETURN_IF_ERROR(net::send_message(conn.value(), type, payload, shape));
-  return net::recv_message(conn.value(), timeout);
-}
-
-/// Fire-and-forget message (failure/metrics reports — the receiver never
-/// replies on these exchanges, so a pooled connection stays clean).
-void post(const net::Endpoint& peer, std::uint16_t type, const serial::Bytes& payload,
-          bool pooled = true) {
-  if (pooled) {
-    (void)net::pool_post(peer, type, payload, /*dial_timeout_s=*/1.0);
-    return;
-  }
-  auto conn = net::TcpConnection::connect(peer, 1.0);
-  if (!conn.ok()) return;
-  (void)net::send_message(conn.value(), type, payload);
+                                double connect_timeout = 5.0) {
+  return net::pool_round_trip(peer, type, payload, timeout,
+                              std::min(timeout, connect_timeout), shape);
 }
 
 Error decode_error_reply(const net::Message& msg) {
@@ -109,8 +90,7 @@ Result<net::Message> NetSolveClient::agent_round_trip(std::uint16_t type,
   bool failed_over = false;
   for (const std::size_t index : agent_order()) {
     auto reply = round_trip(config_.agents[index], type, payload, timeout,
-                            net::LinkShape::unshaped(), config_.agent_connect_timeout_s,
-                            config_.pooled_transport);
+                            net::LinkShape::unshaped(), config_.agent_connect_timeout_s);
     if (reply.ok()) {
       // Any reply — even an ErrorReply — means the agent is up.
       note_agent_result(index, true);
@@ -136,7 +116,9 @@ void NetSolveClient::post_to_agent(std::uint16_t type, const serial::Bytes& payl
     std::lock_guard<std::mutex> lock(agents_mu_);
     if (agent_health_[index].down_until > now_seconds()) return;  // everyone is down
   }
-  post(config_.agents[index], type, payload, config_.pooled_transport);
+  // Fire-and-forget (failure/metrics reports — the agent never replies on
+  // these exchanges, so the pooled connection stays clean).
+  (void)net::pool_post(config_.agents[index], type, payload, /*dial_timeout_s=*/1.0);
 }
 
 Result<proto::ServerList> NetSolveClient::query_metadata(const std::string& problem,
@@ -207,26 +189,16 @@ Result<proto::SolveResult> NetSolveClient::attempt(const proto::ServerCandidate&
   const double timeout = request.deadline_s > 0.0
                              ? std::min(config_.io_timeout_s, request.deadline_s)
                              : config_.io_timeout_s;
-  Result<net::Message> reply = make_error(ErrorCode::kInternal, "no attempt transport");
-  if (config_.pooled_transport) {
-    // Pipelined path: every attempt against this server shares one socket;
-    // the reply is demultiplexed by request id, so concurrent netsl_nb calls
-    // and hedges interleave instead of dialing a connection each.
-    auto channel =
-        net::ConnectionPool::instance().channel(candidate.endpoint, std::min(2.0, timeout));
-    if (!channel.ok()) return channel.error();
-    reply = channel.value()->call(static_cast<std::uint16_t>(MessageType::kSolveRequest),
-                                  encode_payload(request),
-                                  static_cast<std::uint16_t>(MessageType::kSolveResult),
-                                  request.request_id, timeout, config_.link);
-  } else {
-    auto conn = net::TcpConnection::connect(candidate.endpoint, std::min(2.0, timeout));
-    if (!conn.ok()) return conn.error();
-    NS_RETURN_IF_ERROR(net::send_message(
-        conn.value(), static_cast<std::uint16_t>(MessageType::kSolveRequest),
-        encode_payload(request), config_.link));
-    reply = net::recv_message(conn.value(), timeout);
-  }
+  // Every attempt against this server shares one socket; the reply is
+  // demultiplexed by request id, so concurrent netsl_nb calls and hedges
+  // interleave instead of dialing a connection each.
+  auto channel =
+      net::ConnectionPool::instance().channel(candidate.endpoint, std::min(2.0, timeout));
+  if (!channel.ok()) return channel.error();
+  auto reply = channel.value()->call(static_cast<std::uint16_t>(MessageType::kSolveRequest),
+                                     encode_payload(request),
+                                     static_cast<std::uint16_t>(MessageType::kSolveResult),
+                                     request.request_id, timeout, config_.link);
   if (!reply.ok()) return reply.error();
   if (io_seconds != nullptr) *io_seconds = watch.elapsed();
   if (reply.value().type != static_cast<std::uint16_t>(MessageType::kSolveResult)) {
@@ -276,25 +248,19 @@ double NetSolveClient::hedge_delay_for(const std::string& problem) const {
 
 void NetSolveClient::post_cancel_async(const net::Endpoint& peer, std::uint64_t request_id) {
   begin_background();
-  const bool pooled = config_.pooled_transport;
-  std::thread([this, peer, request_id, pooled] {
+  std::thread([this, peer, request_id] {
     proto::CancelRequest cancel;
     cancel.request_id = request_id;
-    if (pooled) {
-      // The server acks every CANCEL, so fire-and-forget over a pooled lease
-      // would leave the ack in the stream for the next leaseholder. Ride the
-      // mux channel instead: the ack demultiplexes by request id, and this
-      // thread exists precisely so waiting costs the caller nothing.
-      auto channel = net::ConnectionPool::instance().channel(peer, /*dial_timeout_s=*/1.0);
-      if (channel.ok()) {
-        (void)channel.value()->call(
-            static_cast<std::uint16_t>(MessageType::kCancelRequest), encode_payload(cancel),
-            static_cast<std::uint16_t>(MessageType::kCancelAck), request_id,
-            /*timeout_s=*/2.0);
-      }
-    } else {
-      post(peer, static_cast<std::uint16_t>(MessageType::kCancelRequest),
-           encode_payload(cancel), /*pooled=*/false);
+    // The server acks every CANCEL, so fire-and-forget over a pooled lease
+    // would leave the ack in the stream for the next leaseholder. Ride the
+    // mux channel instead: the ack demultiplexes by request id, and this
+    // thread exists precisely so waiting costs the caller nothing.
+    auto channel = net::ConnectionPool::instance().channel(peer, /*dial_timeout_s=*/1.0);
+    if (channel.ok()) {
+      (void)channel.value()->call(
+          static_cast<std::uint16_t>(MessageType::kCancelRequest), encode_payload(cancel),
+          static_cast<std::uint16_t>(MessageType::kCancelAck), request_id,
+          /*timeout_s=*/2.0);
     }
     end_background();  // last touch of the client
   }).detach();
@@ -562,7 +528,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
             auto reply = round_trip(
                 peer.endpoint, static_cast<std::uint16_t>(MessageType::kCheckpointFetch),
                 encode_payload(fetch), /*timeout=*/2.0, net::LinkShape::unshaped(),
-                /*connect_timeout=*/2.0, config_.pooled_transport);
+                /*connect_timeout=*/2.0);
             if (!reply.ok() ||
                 reply.value().type !=
                     static_cast<std::uint16_t>(MessageType::kCheckpointFetchReply)) {

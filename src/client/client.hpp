@@ -125,14 +125,6 @@ struct ClientConfig {
   /// of restarting the solve from iteration zero elsewhere. Needs servers
   /// configured with `replicas=` peers to have any effect.
   bool checkpoint_failover = false;
-
-  // ---- transport (connection reuse / pipelining) ----
-  /// Solve attempts, cancels, and agent round trips reuse pooled keep-alive
-  /// connections; solve traffic to one server pipelines over a shared
-  /// request-id-demultiplexed channel, so concurrent netsl_nb calls and
-  /// hedges share one socket instead of dialing one each. Off restores the
-  /// pre-reactor dial-per-call behaviour (the A/B baseline for benchmarks).
-  bool pooled_transport = true;
 };
 
 /// Per-call telemetry, filled when the caller passes a stats out-param.

@@ -96,10 +96,6 @@ ConnectionPool& ConnectionPool::instance() {
 void ConnectionPool::configure(const PoolConfig& config) {
   std::lock_guard lock(mu_);
   config_ = config;
-  if (!config_.enabled) {
-    idle_.clear();
-    channels_.clear();
-  }
 }
 
 PoolConfig ConnectionPool::config() const {
@@ -140,26 +136,24 @@ Result<PooledConn> ConnectionPool::lease(const Endpoint& remote, double dial_tim
   NS_RETURN_IF_ERROR(check_busy_window(key));
   {
     std::lock_guard lock(mu_);
-    if (config_.enabled) {
-      auto it = idle_.find(key);
-      if (it != idle_.end()) {
-        const double now = now_seconds();
-        auto& dq = it->second;
-        while (!dq.empty()) {
-          IdleConn cand = std::move(dq.front());
-          dq.pop_front();
-          if (now - cand.since > config_.idle_timeout_s) continue;  // stale, drop
-          if (!idle_conn_usable(cand.conn)) continue;  // peer closed / dirty stream
-          PooledConn lease;
-          lease.pool_ = this;
-          lease.conn_ = std::move(cand.conn);
-          lease.key_ = key;
-          lease.reused_ = true;
-          metrics::counter("net.pool.hits_total").inc();
-          return lease;
-        }
-        idle_.erase(it);
+    auto it = idle_.find(key);
+    if (it != idle_.end()) {
+      const double now = now_seconds();
+      auto& dq = it->second;
+      while (!dq.empty()) {
+        IdleConn cand = std::move(dq.front());
+        dq.pop_front();
+        if (now - cand.since > config_.idle_timeout_s) continue;  // stale, drop
+        if (!idle_conn_usable(cand.conn)) continue;  // peer closed / dirty stream
+        PooledConn lease;
+        lease.pool_ = this;
+        lease.conn_ = std::move(cand.conn);
+        lease.key_ = key;
+        lease.reused_ = true;
+        metrics::counter("net.pool.hits_total").inc();
+        return lease;
       }
+      idle_.erase(it);
     }
   }
 
@@ -178,7 +172,6 @@ Result<PooledConn> ConnectionPool::lease(const Endpoint& remote, double dial_tim
 
 void ConnectionPool::give_back(const std::string& key, TcpConnection conn) {
   std::lock_guard lock(mu_);
-  if (!config_.enabled) return;
   auto& dq = idle_[key];
   const double now = now_seconds();
   while (!dq.empty() && (dq.size() >= config_.max_idle_per_endpoint ||
@@ -195,28 +188,22 @@ Result<MuxChannelPtr> ConnectionPool::channel(const Endpoint& remote, double dia
   }
   const std::string key = remote.to_string();
   NS_RETURN_IF_ERROR(check_busy_window(key));
-  bool pooling = true;
   {
     std::lock_guard lock(mu_);
-    pooling = config_.enabled;
-    if (pooling) {
-      auto it = channels_.find(key);
-      if (it != channels_.end()) {
-        if (it->second->healthy()) return it->second;
-        channels_.erase(it);  // poisoned: evict, redial below
-        metrics::counter("net.mux.evicted_total").inc();
-      }
+    auto it = channels_.find(key);
+    if (it != channels_.end()) {
+      if (it->second->healthy()) return it->second;
+      channels_.erase(it);  // poisoned: evict, redial below
+      metrics::counter("net.mux.evicted_total").inc();
     }
   }
   auto conn = TcpConnection::connect_raw(remote, dial_timeout_s);
   if (!conn.ok()) return conn.error();
   auto channel = MuxChannelPtr(new MuxChannel(std::move(conn.value()), remote));
-  if (pooling) {
-    std::lock_guard lock(mu_);
-    auto it = channels_.find(key);
-    if (it != channels_.end() && it->second->healthy()) return it->second;
-    channels_[key] = channel;
-  }
+  std::lock_guard lock(mu_);
+  auto it = channels_.find(key);
+  if (it != channels_.end() && it->second->healthy()) return it->second;
+  channels_[key] = channel;
   return channel;
 }
 

@@ -53,9 +53,6 @@
 namespace ns::net {
 
 struct PoolConfig {
-  /// Master switch: off = every lease is a fresh dial and nothing is kept
-  /// (the pre-pool behaviour, used for A/B benching).
-  bool enabled = true;
   /// Idle connections older than this are dropped at lease/release time.
   /// Keep it comfortably below the server/agent reactor idle timeout (10 s)
   /// so the client discards before the peer does.

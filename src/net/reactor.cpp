@@ -241,6 +241,17 @@ Status ReactorConn::send(std::uint16_t type, serial::Bytes payload, const LinkSh
   return result;
 }
 
+std::shared_ptr<ReactorConn> ReactorConn::hold() {
+  inflight_.fetch_add(1, std::memory_order_acq_rel);
+  // Aliasing handle: its deleter drops the hold, and the captured owner
+  // keeps the connection alive until then.
+  auto self = shared_from_this();
+  return std::shared_ptr<ReactorConn>(self.get(), [self](ReactorConn* conn) {
+    conn->last_activity_.store(now_seconds(), std::memory_order_relaxed);
+    conn->inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  });
+}
+
 void ReactorConn::close() {
   closing_.store(true, std::memory_order_release);
   reactor_->notify_dirty(shared_from_this());
@@ -320,9 +331,8 @@ void Reactor::stop() {
   wake();
   if (loop_thread_.joinable()) loop_thread_.join();
   // Join workers after the loop: in-flight handlers may still be replying;
-  // their sends fail fast on the closed connections. Callers that block
-  // handlers on condition variables (the server's admission queue) must wake
-  // those first — see ComputeServer::stop().
+  // their sends fail fast on the closed connections. A handler that blocks
+  // must be woken by its owner first.
   pool_.stop();
   {
     std::lock_guard lock(conns_mu_);
@@ -634,14 +644,14 @@ void Reactor::drain_frames(const ReactorConnPtr& conn) {
       finish_close(conn);
       return;
     }
-    conn->active_handlers_.fetch_add(1, std::memory_order_acq_rel);
+    conn->inflight_.fetch_add(1, std::memory_order_acq_rel);
     if (config_.inline_handlers) {
       // Loop-thread dispatch for short non-blocking handlers: saves the
       // wake-a-worker and reply-wakeup context switches per request. The
       // send fast path still writes directly from here.
       const bool keep = handler_ ? handler_(conn, std::move(msg)) : false;
       conn->last_activity_.store(now_seconds(), std::memory_order_relaxed);
-      conn->active_handlers_.fetch_sub(1, std::memory_order_acq_rel);
+      conn->inflight_.fetch_sub(1, std::memory_order_acq_rel);
       if (!keep) {
         conn->close();
         return;
@@ -651,11 +661,11 @@ void Reactor::drain_frames(const ReactorConnPtr& conn) {
     const bool submitted = pool_.submit([this, conn, msg = std::move(msg)]() mutable {
       const bool keep = handler_ ? handler_(conn, std::move(msg)) : false;
       conn->last_activity_.store(now_seconds(), std::memory_order_relaxed);
-      conn->active_handlers_.fetch_sub(1, std::memory_order_acq_rel);
+      conn->inflight_.fetch_sub(1, std::memory_order_acq_rel);
       if (!keep) conn->close();
     });
     if (!submitted) {
-      conn->active_handlers_.fetch_sub(1, std::memory_order_acq_rel);
+      conn->inflight_.fetch_sub(1, std::memory_order_acq_rel);
       finish_close(conn);
       return;
     }
@@ -818,7 +828,7 @@ bool Reactor::evict_lru_idle() {
   {
     std::lock_guard lock(conns_mu_);
     for (const auto& conn : conns_) {
-      if (conn->active_handlers_.load(std::memory_order_acquire) > 0) continue;
+      if (conn->inflight_.load(std::memory_order_acquire) > 0) continue;
       bool queue_empty;
       {
         std::lock_guard wlock(conn->wr_mu_);
@@ -908,7 +918,7 @@ void Reactor::sweep_idle(double now) {
   {
     std::lock_guard lock(conns_mu_);
     for (const auto& conn : conns_) {
-      if (conn->active_handlers_.load(std::memory_order_acquire) > 0) continue;
+      if (conn->inflight_.load(std::memory_order_acquire) > 0) continue;
       const double last = conn->last_activity_.load(std::memory_order_relaxed);
       bool queue_empty;
       {

@@ -3,9 +3,9 @@
 // One reactor thread owns the listening socket, an epoll set, and every
 // accepted connection's read side. Complete frames are decoded on the
 // reactor thread (multiple frames per read — pipelined peers are the point)
-// and dispatched to an elastic TaskPool (net/task_pool.hpp), so a blocking
-// handler (a solve waiting in the admission queue) never stalls the loop or
-// any other connection. This replaces the thread-per-connection accept
+// and dispatched to an elastic TaskPool (net/task_pool.hpp), so a long
+// handler (a solve computing on the thread that admitted it) never stalls
+// the loop or any other connection. This replaces the thread-per-connection accept
 // loops the server and agent shipped with: connection count no longer costs
 // a thread, and an accepted-but-idle keep-alive connection costs one fd and
 // two small buffers.
@@ -80,8 +80,8 @@ struct GuardConfig {
   /// don't count against the peer. 0 disables.
   double frame_progress_timeout_s = 30.0;
   /// Accepted-connection cap. At the cap the accept path first tries to
-  /// evict the least-recently-active idle connection (no in-flight handler,
-  /// empty write queue); if nothing is evictable the dial is shed with a
+  /// evict the least-recently-active idle connection (no in-flight handler
+  /// or hold(), empty write queue); if nothing is evictable the dial is shed with a
   /// transport BUSY frame carrying retry_after_s.
   std::size_t max_connections = 1024;
   /// Back-off hint stamped into transport BUSY frames.
@@ -106,6 +106,13 @@ struct GuardConfig {
 /// requests per connection (demuxed by request id on the client) work.
 class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
  public:
+  /// A second handle to this connection that also keeps it exempt from the
+  /// idle sweep and LRU eviction until the handle (and every copy of it) is
+  /// dropped — the same protection a running handler gets. Work that owes
+  /// the peer a reply after its handler returned (a queued solve) takes one
+  /// before the handler returns and drops it once the reply is queued.
+  std::shared_ptr<ReactorConn> hold();
+
   /// Queue one framed message. Thread-safe; applies armed fault plans and
   /// link shaping. Fails with kConnectionClosed once the connection is
   /// closing (handlers treat that like the old synchronous send failing).
@@ -155,7 +162,9 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   bool want_write_ = false;  // EPOLLOUT currently armed (reactor bookkeeping)
 
   std::atomic<bool> closing_{false};
-  std::atomic<int> active_handlers_{0};
+  /// Running handlers plus outstanding hold()s; nonzero exempts the
+  /// connection from the idle sweep and LRU eviction.
+  std::atomic<int> inflight_{0};
   std::atomic<double> last_activity_{0.0};
   /// rd-unconsumed + wr-queued bytes, mirrored into the reactor's global
   /// total. Atomic so the accept governor and global-budget sweep can read
@@ -166,18 +175,20 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
 using ReactorConnPtr = std::shared_ptr<ReactorConn>;
 
 struct ReactorConfig {
-  /// Core handler threads; the pool grows on demand (blocking solve
-  /// handlers each hold a thread while queued/running) up to max_workers.
+  /// Core handler threads; the pool grows on demand (a solve handler that
+  /// finds a free slot computes the job on its own thread) up to
+  /// max_workers.
   int workers = 4;
   int max_workers = 256;
-  /// Close connections with no traffic and no in-flight handler for this
-  /// long. Keep-alive peers must send something (or redial) within it.
+  /// Close connections with no traffic, no in-flight handler and no hold()
+  /// for this long. Keep-alive peers must send something (or redial)
+  /// within it.
   double idle_timeout_s = 10.0;
   /// Run handlers on the loop thread instead of dispatching to the pool.
   /// Only for services whose every handler is short and non-blocking (the
   /// agent: metadata lookups) — it saves two context switches per request,
   /// but one blocking handler would stall every connection. Servers keep
-  /// pool dispatch (solve handlers block on the admission queue).
+  /// pool dispatch (a solve handler may run the job it admitted).
   bool inline_handlers = false;
   /// Hostile-peer / resource-exhaustion budgets (see GuardConfig).
   GuardConfig guard;

@@ -1,5 +1,6 @@
 #include "net/task_pool.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace ns::net {
@@ -9,8 +10,8 @@ void TaskPool::start(int core_threads, int max_threads) {
   if (started_) return;
   started_ = true;
   stopping_ = false;
-  if (core_threads < 1) core_threads = 1;
-  if (max_threads < core_threads) max_threads = core_threads;
+  core_threads = std::max(core_threads, 0);
+  max_threads = std::max({max_threads, core_threads, 1});
   max_threads_ = static_cast<std::size_t>(max_threads);
   threads_.reserve(static_cast<std::size_t>(core_threads));
   for (int i = 0; i < core_threads; ++i) spawn_locked();

@@ -1,14 +1,15 @@
-// Elastic worker pool that executes the reactor's message handlers.
+// Elastic worker pool: the reactor's message handlers, and the compute
+// server's granted jobs.
 //
 // The reactor thread must never block, so every decoded frame is handed to a
-// pool task. Most handlers (ping, query, metrics, cancel) finish in
-// microseconds and are served by the core threads; solve handlers block for
-// the whole queue-wait + compute and can pile up far beyond the core count,
-// so the pool grows on demand: a submit that finds no idle worker spawns a
-// new thread up to `max_threads`. Grown threads are kept (not retired) —
-// thread lifetime then has exactly two states, started and joined-in-stop,
-// which keeps shutdown races impossible by construction (every thread is
-// joined exactly once by stop()).
+// pool task. Most handlers (ping, query, metrics, cancel, a solve that only
+// joins the admission queue) finish in microseconds and are served by the
+// core threads; a solve handler that finds a free slot computes the job on
+// its own thread, so the pool grows on demand: a submit that finds no idle
+// worker spawns a new thread up to `max_threads`. Grown threads are kept (not
+// retired) — thread lifetime then has exactly two states, started and
+// joined-in-stop, which keeps shutdown races impossible by construction
+// (every thread is joined exactly once by stop()).
 #pragma once
 
 #include <condition_variable>
@@ -29,7 +30,8 @@ class TaskPool {
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
 
-  /// Spawn `core_threads` workers now; grow lazily up to `max_threads`.
+  /// Spawn `core_threads` workers now (0 = none until the first submit);
+  /// grow lazily up to `max_threads`.
   void start(int core_threads, int max_threads);
 
   /// Queue a task. Returns false (task dropped) after stop() has begun —

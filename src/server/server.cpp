@@ -30,6 +30,16 @@ serial::Bytes encode_payload(const auto& msg) {
   return enc.take();
 }
 
+proto::SolveResult error_result(std::uint64_t request_id, ErrorCode code,
+                                std::string message, double retry_after_s = 0.0) {
+  proto::SolveResult result;
+  result.request_id = request_id;
+  result.error_code = static_cast<std::uint16_t>(code);
+  result.error_message = std::move(message);
+  result.retry_after_s = retry_after_s;
+  return result;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<ComputeServer>> ComputeServer::start(ServerConfig config) {
@@ -87,10 +97,14 @@ Result<std::unique_ptr<ComputeServer>> ComputeServer::start(ServerConfig config)
                           std::to_string(server->config_.agents.size()) + " agent(s)");
   }
 
+  // Granted jobs that no free thread picks up run here: per slot, at most
+  // one thread computing plus one still sending its finished job's reply.
+  server->job_pool_.start(0, 2 * std::max(server->config_.workers,
+                                          server->config_.admission.aimd_max));
   // The reactor adopts the listener: reads and frame decode live on its
-  // event loop, handlers (including blocking solves waiting in the admission
-  // queue) on its elastic pool. Its idle sweep stays above the client pool's
-  // keep-alive window so the client side discards idle connections first.
+  // event loop, handlers (and the jobs they find free slots for) on its
+  // elastic pool. Its idle sweep stays above the client pool's keep-alive
+  // window so the client side discards idle connections first.
   net::ReactorConfig reactor_config;
   reactor_config.idle_timeout_s = std::max(server->config_.io_timeout_s, 5.0);
   reactor_config.guard = server->config_.guard;
@@ -101,7 +115,12 @@ Result<std::unique_ptr<ComputeServer>> ComputeServer::start(ServerConfig config)
       },
       reactor_config));
   server->report_thread_ = std::thread([raw = server.get()] { raw->report_loop(); });
-  server->launch_recovered_jobs();
+  // Recovered jobs join the queue in journal (= original admission) order;
+  // EDF re-sorts by the decayed deadlines anyway.
+  for (auto& job : std::exchange(server->recovered_jobs_, {})) {
+    job->since_receipt.reset();
+    server->run(server->submit(std::move(job)), /*this_thread_free=*/false);
+  }
   return server;
 }
 
@@ -143,7 +162,6 @@ ComputeServer::ServerMetrics::ServerMetrics(const std::string& name)
       mem_peak(metrics::gauge("mem." + name + ".peak_bytes")),
       mem_budget(metrics::gauge("mem." + name + ".budget_bytes")),
       mem_spill_active(metrics::gauge("mem." + name + ".spill_active")),
-      queue_wait_s(metrics::histogram("server.queue_wait_s")),
       queue_sojourn_s(metrics::histogram("server.queue_sojourn_s")),
       compute_s(metrics::histogram("server.compute_s")),
       queue_depth(metrics::gauge("server." + name + ".queue_depth")),
@@ -365,48 +383,64 @@ double ComputeServer::sojourn_p95() const {
   return sojourn_p95_locked();
 }
 
-void ComputeServer::remove_wait_entry_locked(WaitEntry& entry) {
-  auto [it, end] = wait_queue_.equal_range(entry.key);
-  for (; it != end; ++it) {
-    if (it->second == &entry) {
-      wait_queue_.erase(it);
-      return;
-    }
+void ComputeServer::unqueue_locked(const ActiveJob& job) {
+  --waiting_jobs_;
+  metrics_.queue_depth.set(waiting_jobs_);
+  const std::uint64_t client_id = job.request.client_id;
+  if (client_id == 0) return;
+  const auto used = waiting_by_client_.find(client_id);
+  if (used != waiting_by_client_.end() && --used->second <= 0) {
+    waiting_by_client_.erase(used);
   }
 }
 
-void ComputeServer::dispatch_locked() {
+void ComputeServer::dispatch_locked(Dispatched& out) {
   const auto& adm = config_.admission;
-  bool woke_any = false;
-  while (running_jobs_ < effective_concurrency_locked() && !wait_queue_.empty()) {
-    const double now = now_seconds();
+  while (!stopping_.load() && running_jobs_ < effective_concurrency_locked() &&
+         !wait_queue_.empty()) {
     const auto it = wait_queue_.begin();
-    WaitEntry* entry = it->second;
-    const double sojourn = now - entry->enqueue_time;
+    const std::shared_ptr<ActiveJob> job = it->second;
+    // A cancel trips the token before it takes the job off the queue; if we
+    // reach the job first, it leaves exactly as the cancel would make it.
+    if (job->token.cancelled()) {
+      wait_queue_.erase(it);
+      unqueue_locked(*job);
+      out.refused.emplace_back(job, cancelled_in_queue(*job));
+      continue;
+    }
+    const double now = now_seconds();
+    const double sojourn = now - job->enqueue_time;
     record_sojourn_locked(sojourn);
     metrics_.queue_sojourn_s.observe(sojourn);
+    // Sheds at dequeue reply retryably — another, less loaded server may
+    // still make it — with a backpressure hint that damps re-enqueue churn:
+    // without it the client's next attempt lands right back in the same
+    // congested queue.
+    auto shed = [&](const char* reason) {
+      auto result = error_result(job->request.request_id, ErrorCode::kServerOverloaded,
+                                 reason, retry_after_locked());
+      result.queue_seconds = sojourn;
+      NS_DEBUG("server") << config_.name << " shed queued request "
+                         << result.request_id << " (" << reason << ")";
+      wait_queue_.erase(it);
+      unqueue_locked(*job);
+      out.refused.emplace_back(job, std::move(result));
+      aimd_on_overload_locked(now);
+    };
 
     // Deadline sheds at dequeue: the budget lapsed while the job queued, or
     // (predictively) the remaining budget cannot cover the predicted
-    // service — either way computing would only waste the slot. Dropped
-    // retryably: a faster or idler server may still make the deadline.
-    const bool expired = adm.shed_expired && now >= entry->deadline_abs;
+    // service — either way computing would only waste the slot.
+    const bool expired = adm.shed_expired && now >= job->deadline_abs;
     const bool infeasible =
-        adm.shed_infeasible && entry->est_service_s > 0.0 &&
-        now + entry->est_service_s + adm.dispatch_slack_s > entry->deadline_abs;
+        adm.shed_infeasible && job->est_service_s > 0.0 &&
+        now + job->est_service_s + adm.dispatch_slack_s > job->deadline_abs;
     if (expired || infeasible) {
-      wait_queue_.erase(it);
-      entry->dropped = true;
-      entry->drop_reason = "overload control: deadline budget lapsed in queue";
-      // The hint damps re-enqueue churn: without it the client's next
-      // attempt lands right back in the same congested queue.
-      entry->retry_after_s = retry_after_locked();
       shed_dequeue_.fetch_add(1);
       metrics_.shed_dequeue.inc();
       shed_.fetch_add(1);  // legacy aggregate: deadline sheds before compute
       metrics_.shed.inc();
-      aimd_on_overload_locked(now);
-      woke_any = true;
+      shed("overload control: deadline budget lapsed in queue");
       continue;
     }
 
@@ -416,14 +450,9 @@ void ComputeServer::dispatch_locked() {
     // shed the only waiter when a slot is free for it.
     if (adm.codel_target_s > 0.0 && wait_queue_.size() > 1 &&
         codel_should_drop_locked(sojourn, now)) {
-      wait_queue_.erase(it);
-      entry->dropped = true;
-      entry->drop_reason = "overload control: queue sojourn above CoDel target";
-      entry->retry_after_s = retry_after_locked();
       shed_codel_.fetch_add(1);
       metrics_.shed_codel.inc();
-      aimd_on_overload_locked(now);
-      woke_any = true;
+      shed("overload control: queue sojourn above CoDel target");
       continue;
     }
 
@@ -434,22 +463,20 @@ void ComputeServer::dispatch_locked() {
     // guarantee: an otherwise-idle server force-charges its head-of-line
     // job (counted, may overshoot the budget) rather than deadlocking
     // against queued payloads that hold the budget.
-    const std::uint64_t need = entry->ws_bytes + entry->spilled_bytes;
+    const std::uint64_t need = job->ws_bytes + job->spilled_bytes;
     if (need > 0 && !governor_.try_charge(need)) {
       if (running_jobs_ > 0) break;
       governor_.charge_forced(need);
       metrics_.mem_forced_charge.inc();
     }
-    entry->granted_bytes = need;
+    // From here every terminal path releases the charge with the job's own.
+    job->mem_charged_bytes += need;
     wait_queue_.erase(it);
-    entry->ready = true;
+    unqueue_locked(*job);
+    job->queued.store(false);
     ++running_jobs_;
-    woke_any = true;
+    out.granted.push_back(job);
   }
-  // One notify_all covers every decision made above: entries wake, find
-  // their ready/dropped flag, and proceed. Waiters that were not picked
-  // re-check their predicate and sleep again.
-  if (woke_any) jobs_cv_.notify_all();
 }
 
 bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) {
@@ -476,12 +503,6 @@ bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message
     proto::CancelAck ack;
     ack.request_id = cancel.value().request_id;
     ack.outcome = cancel_jobs(cancel.value().request_id);
-    {
-      // Lock-then-notify so a queued job that checked its token just
-      // before blocking cannot miss the wakeup.
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-    }
-    jobs_cv_.notify_all();
     return conn->send(static_cast<std::uint16_t>(MessageType::kCancelAck),
                       encode_payload(ack))
         .ok();
@@ -559,14 +580,19 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
                         "allocation failed decoding request");
     }
   }();
-  proto::SolveResult result;
   if (!request.ok()) {
-    result.error_code = static_cast<std::uint16_t>(request.error().code);
-    result.error_message = request.error().message;
-    (void)conn->send(solve_result, encode_payload(result), config_.link);
+    (void)conn->send(solve_result,
+                     encode_payload(error_result(0, request.error().code,
+                                                 request.error().message)),
+                     config_.link);
     return false;
   }
-  result.request_id = request.value().request_id;
+  const std::uint64_t request_id = request.value().request_id;
+  auto reply_now = [&](ErrorCode code, const char* message) {
+    return conn->send(solve_result, encode_payload(error_result(request_id, code, message)),
+                      config_.link)
+        .ok();
+  };
 
   // Failure injection happens after the request is fully received — the
   // client has already paid the transfer cost, which is the expensive
@@ -579,9 +605,9 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
       // The crash runs on a reactor pool thread, so it cannot join the
       // reactor from here; release the port asynchronously and let stop()
       // (from the owner) do the full teardown. handle_message rejects all
-      // further frames meanwhile.
+      // further frames meanwhile, and queued jobs drop their connections.
       reactor_.stop_accepting();
-      jobs_cv_.notify_all();
+      for (auto& job : take_queued(/*cancelled_only=*/false)) abandon(job);
       return false;
     case FailureSpec::Mode::kDropRequest:
       NS_DEBUG("server") << config_.name << " injected connection drop";
@@ -593,23 +619,18 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
       NS_DEBUG("server") << config_.name << " injected hang";
       return true;
     case FailureSpec::Mode::kErrorReply:
-      result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerFailure);
-      result.error_message = "injected failure";
-      return conn->send(solve_result, encode_payload(result), config_.link).ok();
+      return reply_now(ErrorCode::kServerFailure, "injected failure");
     case FailureSpec::Mode::kNone:
       break;
   }
 
-  // Acquire a worker slot; waiting requests count toward workload.
   metrics_.requests.inc();
   if (draining_.load()) {
     // Retryable: the client's failover moves this request to another
     // server, which is the whole point of draining.
     drain_rejected_.fetch_add(1);
     metrics_.drain_rejected.inc();
-    result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-    result.error_message = "server draining";
-    return conn->send(solve_result, encode_payload(result), config_.link).ok();
+    return reply_now(ErrorCode::kServerOverloaded, "server draining");
   }
   // A job that insists on durability cannot run where the journal has
   // fail-stopped (or never existed). Shed retryably — the agent already
@@ -619,18 +640,17 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
   if (request.value().require_durable &&
       (config_.data_dir.empty() || degraded_.load())) {
     metrics_.store_degraded_shed.inc();
-    result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-    result.error_message = "durability degraded: journal unavailable";
-    return conn->send(solve_result, encode_payload(result), config_.link).ok();
+    return reply_now(ErrorCode::kServerOverloaded,
+                     "durability degraded: journal unavailable");
   }
   // Visible to CANCEL, PROBE and the drain sweep from admission to reply.
-  // The request moves into the job so compaction and migration can
-  // re-serialize it without this handler thread's cooperation.
   auto job = std::make_shared<ActiveJob>();
   job->request = std::move(request).value();
+  job->reply_to = conn->hold();
+  job->since_receipt = since_receipt;
   {
     std::lock_guard<std::mutex> lock(active_jobs_mu_);
-    active_jobs_.emplace(result.request_id, job);
+    active_jobs_.emplace(request_id, job);
   }
   // WAL discipline: the ADMITTED record (full request + remaining budget)
   // is on disk before the job enters the queue — from here on, a crash
@@ -638,214 +658,190 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
   journal_admit(*job, job->request.deadline_s > 0.0
                           ? job->request.deadline_s - since_receipt.elapsed()
                           : 0.0);
-  auto reply = run_job(job, since_receipt);
-  if (!reply.has_value()) return false;  // stopping or crashed: no reply leaves
-  return conn->send(solve_result, encode_payload(*reply), config_.link).ok();
+  run(submit(std::move(job)), /*this_thread_free=*/true);
+  return true;
 }
 
-std::optional<proto::SolveResult> ComputeServer::run_job(
-    const std::shared_ptr<ActiveJob>& job, const Stopwatch& since_receipt) {
+ComputeServer::Dispatched ComputeServer::submit(std::shared_ptr<ActiveJob> job) {
   const proto::SolveRequest& request = job->request;
-  proto::SolveResult result;
-  result.request_id = request.request_id;
-
-  const Stopwatch queue_watch;
   const double est_service = estimate_service_seconds(request);
   job->payload_bytes = dsl::args_byte_size(request.args);
   job->ws_bytes = estimate_working_set_bytes(request);
-  WaitEntry entry;
-  {
-    std::unique_lock<std::mutex> lock(jobs_mu_);
-    const auto& adm = config_.admission;
-    const double now = now_seconds();
-    // Recovered and transferred-in jobs (readmit) skip the admission
-    // rejections: they were accepted once already, and shedding them now
-    // would turn a durability guarantee into a coin flip.
-    if (!job->readmit && config_.max_queue > 0 && waiting_jobs_ >= config_.max_queue) {
-      result.retry_after_s = retry_after_locked();
-      lock.unlock();
-      metrics_.rejected.inc();
-      result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-      result.error_message = "admission control: queue full";
-      finish_job(job, result);
-      return result;
+  Dispatched out;
+  std::unique_lock<std::mutex> lock(jobs_mu_);
+  const auto& adm = config_.admission;
+  auto refuse = [&](const char* message, double retry_after_s) {
+    out.refused.emplace_back(job, error_result(request.request_id,
+                                               ErrorCode::kServerOverloaded, message,
+                                               retry_after_s));
+    return out;
+  };
+  // Recovered and transferred-in jobs (readmit) skip the admission
+  // rejections: they were accepted once already, and shedding them now
+  // would turn a durability guarantee into a coin flip.
+  if (!job->readmit && config_.max_queue > 0 && waiting_jobs_ >= config_.max_queue) {
+    metrics_.rejected.inc();
+    return refuse("admission control: queue full", retry_after_locked());
+  }
+  // Per-client fair share: when quotas are on, a single client id may
+  // occupy at most its fraction of the queue slots. Anonymous requests
+  // (client_id 0 — older clients) are exempt rather than lumped into
+  // one shared bucket that they would starve each other out of.
+  if (!job->readmit && adm.quota_fraction > 0.0 && config_.max_queue > 0 &&
+      request.client_id != 0) {
+    const int quota = std::max(
+        1, static_cast<int>(std::llround(adm.quota_fraction * config_.max_queue)));
+    const auto used = waiting_by_client_.find(request.client_id);
+    if (used != waiting_by_client_.end() && used->second >= quota) {
+      shed_quota_.fetch_add(1);
+      metrics_.shed_quota.inc();
+      return refuse("admission control: per-client quota exceeded", retry_after_locked());
     }
-    // Per-client fair share: when quotas are on, a single client id may
-    // occupy at most its fraction of the queue slots. Anonymous requests
-    // (client_id 0 — older clients) are exempt rather than lumped into
-    // one shared bucket that they would starve each other out of.
-    if (!job->readmit && adm.quota_fraction > 0.0 && config_.max_queue > 0 &&
-        request.client_id != 0) {
-      const int quota = std::max(
-          1, static_cast<int>(std::llround(adm.quota_fraction * config_.max_queue)));
-      const auto used = waiting_by_client_.find(request.client_id);
-      if (used != waiting_by_client_.end() && used->second >= quota) {
-        result.retry_after_s = retry_after_locked();
-        lock.unlock();
-        shed_quota_.fetch_add(1);
-        metrics_.shed_quota.inc();
-        result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-        result.error_message = "admission control: per-client quota exceeded";
-        finish_job(job, result);
-        return result;
-      }
+  }
+  // Infeasible at admission: the predicted service time alone already
+  // exceeds the remaining budget, so even an empty queue cannot save
+  // this job. Shedding now (retryably) lets the client spend its budget
+  // on a faster server instead of on our queue.
+  if (!job->readmit && adm.shed_infeasible && request.deadline_s > 0.0 &&
+      est_service > 0.0) {
+    const double remaining = request.deadline_s - job->since_receipt.elapsed();
+    if (est_service + adm.dispatch_slack_s > remaining) {
+      shed_admission_.fetch_add(1);
+      metrics_.shed_admission.inc();
+      shed_.fetch_add(1);  // legacy aggregate: deadline sheds before compute
+      metrics_.shed.inc();
+      NS_DEBUG("server") << config_.name << " shed request " << request.request_id
+                         << " at admission (predicted " << est_service
+                         << "s > remaining " << remaining << "s)";
+      return refuse("admission control: predicted service time exceeds deadline budget",
+                    0.0);
     }
-    // Infeasible at admission: the predicted service time alone already
-    // exceeds the remaining budget, so even an empty queue cannot save
-    // this job. Shedding now (retryably) lets the client spend its budget
-    // on a faster server instead of on our queue.
-    if (!job->readmit && adm.shed_infeasible && request.deadline_s > 0.0 &&
-        est_service > 0.0) {
-      const double remaining = request.deadline_s - since_receipt.elapsed();
-      if (est_service + adm.dispatch_slack_s > remaining) {
-        lock.unlock();
-        shed_admission_.fetch_add(1);
-        metrics_.shed_admission.inc();
-        shed_.fetch_add(1);  // legacy aggregate: deadline sheds before compute
-        metrics_.shed.inc();
-        NS_DEBUG("server") << config_.name << " shed request " << result.request_id
-                           << " at admission (predicted " << est_service
-                           << "s > remaining " << remaining << "s)";
-        result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-        result.error_message =
-            "admission control: predicted service time exceeds deadline budget";
-        finish_job(job, result);
-        return result;
-      }
+  }
+  // Memory admission: the payload is charged to the governor before the
+  // job may queue (the bytes already exist in RAM — the account must say
+  // so), and a job whose payload + working set exceed the per-job budget
+  // can never run here, so queueing it would only waste its deadline.
+  // Both refusals shed retryably with a backpressure hint: the agent
+  // already de-prefers this server (mem_free_bytes in workload reports),
+  // so the client's retry lands on a peer with headroom. Recovered and
+  // transferred-in jobs charge unconditionally — shedding them would
+  // break the durability contract.
+  if (job->payload_bytes > 0) {
+    const std::uint64_t need = job->payload_bytes + job->ws_bytes;
+    const bool oversized = governor_.governed() && need > governor_.per_job_budget();
+    if (!job->readmit && (oversized || !governor_.try_charge(job->payload_bytes))) {
+      mem_shed_.fetch_add(1);
+      metrics_.mem_shed.inc();
+      mem_dirty_.store(true);
+      return refuse(oversized ? "memory governor: payload + working set exceed per-job budget"
+                              : "memory governor: payload does not fit the budget",
+                    retry_after_locked());
     }
-    // Memory admission: the payload is charged to the governor before the
-    // job may queue (the bytes already exist in RAM — the account must say
-    // so), and a job whose payload + working set exceed the per-job budget
-    // can never run here, so queueing it would only waste its deadline.
-    // Both refusals shed retryably with a backpressure hint: the agent
-    // already de-prefers this server (mem_free_bytes in workload reports),
-    // so the client's retry lands on a peer with headroom. Recovered and
-    // transferred-in jobs charge unconditionally — shedding them would
-    // break the durability contract.
-    if (job->mem_charged_bytes == 0 && job->payload_bytes > 0) {
-      const std::uint64_t need = job->payload_bytes + job->ws_bytes;
-      const std::uint64_t cap = governor_.per_job_budget();
-      const bool oversized = governor_.governed() && need > cap;
-      if (!job->readmit && (oversized || !governor_.try_charge(job->payload_bytes))) {
-        result.retry_after_s = retry_after_locked();
-        lock.unlock();
-        mem_shed_.fetch_add(1);
-        metrics_.mem_shed.inc();
-        mem_dirty_.store(true);
-        result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-        result.error_message =
-            oversized ? "memory governor: payload + working set exceed per-job budget"
-                      : "memory governor: payload does not fit the budget";
-        finish_job(job, result);
-        return result;
-      }
-      if (job->readmit && !governor_.try_charge(job->payload_bytes)) {
-        governor_.charge_forced(job->payload_bytes);
-        metrics_.mem_forced_charge.inc();
-      }
-      job->mem_charged_bytes += job->payload_bytes;
+    if (job->readmit && !governor_.try_charge(job->payload_bytes)) {
+      governor_.charge_forced(job->payload_bytes);
+      metrics_.mem_forced_charge.inc();
     }
-    // Admit into the EDF wait queue. With EDF off the key degenerates to
-    // the arrival sequence number, i.e. plain FIFO. No-deadline jobs sort
-    // last under EDF (deadline_abs ~ +inf) — they can afford to wait.
-    metrics_.admit.inc();
-    entry.enqueue_time = now;
-    entry.deadline_abs = request.deadline_s > 0.0
-                             ? now + (request.deadline_s - since_receipt.elapsed())
-                             : 1e300;
-    entry.est_service_s = est_service;
-    entry.client_id = request.client_id;
-    entry.ws_bytes = job->ws_bytes;
-    entry.key = {adm.edf ? entry.deadline_abs : 0.0, queue_seq_++};
-    job->deadline_abs = entry.deadline_abs;
-    wait_queue_.emplace(entry.key, &entry);
-    if (entry.client_id != 0) ++waiting_by_client_[entry.client_id];
-    ++waiting_jobs_;
-    metrics_.queue_depth.set(waiting_jobs_);
-    dispatch_locked();
-    // Queued-but-cold payload spill: a job the dispatcher did not grant
-    // immediately parks its encoded request on disk (through the vfs seam)
-    // and releases the RAM charge, so the budget funds *running* jobs
-    // instead of queue ballast. The I/O happens with jobs_mu_ dropped;
-    // a grant or drop that raced the spill simply leaves the payload
-    // charged and the wake path reloads it right away.
-    if (!entry.ready && !entry.dropped && should_spill_locked(*job)) {
-      lock.unlock();
-      const bool parked = spill_job(job);
-      lock.lock();
-      if (parked && !entry.ready && !entry.dropped && !stopping_.load() &&
-          !job->token.cancelled()) {
-        governor_.release(job->payload_bytes);
-        job->mem_charged_bytes -= std::min<std::uint64_t>(job->mem_charged_bytes,
-                                                          job->payload_bytes);
-        entry.spilled_bytes = job->payload_bytes;
-        // The freed bytes may be exactly what the memory-blocked head of
-        // the queue was waiting for.
-        dispatch_locked();
-      }
-    }
-    jobs_cv_.wait(lock, [this, &job, &entry] {
-      return entry.ready || entry.dropped || stopping_.load() || job->token.cancelled();
-    });
-    --waiting_jobs_;
-    metrics_.queue_depth.set(waiting_jobs_);
-    if (entry.client_id != 0) {
-      const auto used = waiting_by_client_.find(entry.client_id);
-      if (used != waiting_by_client_.end() && --used->second <= 0) {
-        waiting_by_client_.erase(used);
-      }
-    }
-    // Whatever happens next, the dispatcher's grant-time charge is now this
-    // job's to release (release_job_memory on every terminal path).
-    job->mem_charged_bytes += entry.granted_bytes;
-    if (!entry.ready && !entry.dropped) {
-      // Woken by stop or cancel while still queued: unlink our stack
-      // entry before the dispatcher can hand out a dangling pointer.
-      remove_wait_entry_locked(entry);
-    } else if (entry.ready && (stopping_.load() || job->token.cancelled())) {
-      // Slot granted but we will not use it; hand it to the next waiter.
-      --running_jobs_;
-      entry.ready = false;
-      dispatch_locked();
-    }
+    job->mem_charged_bytes += job->payload_bytes;
+  }
+  // Stop and cancel act on the queue, so a job off it checks for them
+  // itself before entering it. Stopped: no terminal record on purpose — a
+  // stop with an open journal is indistinguishable from a crash for queued
+  // jobs, and replay will re-admit them. Cancelled: never computed.
+  auto stopped_or_cancelled = [&](bool counted) {
+    if (!stopping_.load() && !job->token.cancelled()) return false;
+    if (counted) unqueue_locked(*job);
     if (stopping_.load()) {
-      // No terminal record on purpose: a stop with an open journal is
-      // indistinguishable from a crash for queued jobs, and replay will
-      // re-admit them — exactly what a durable queue is for.
       lock.unlock();
-      release_job_memory(job);
-      erase_active_job(job, result.request_id);
-      return std::nullopt;
+      abandon(job);
+    } else {
+      out.refused.emplace_back(job, cancelled_in_queue(*job));
     }
-    if (job->token.cancelled()) {
-      // Cancelled while queued: checked before taking the slot so a
-      // cancel can never also count as a shed or a completion.
-      lock.unlock();
-      cancelled_queued_.fetch_add(1);
-      metrics_.cancelled_queued.inc();
-      NS_DEBUG("server") << config_.name << " dropped queued request "
-                         << result.request_id << " (cancelled)";
-      result.error_code = static_cast<std::uint16_t>(ErrorCode::kCancelled);
-      result.error_message = "cancelled while queued";
-      finish_job(job, result);
-      return result;
+    return true;
+  };
+  if (stopped_or_cancelled(/*counted=*/false)) return out;
+  // Admit into the EDF wait queue. With EDF off the key degenerates to
+  // the arrival sequence number, i.e. plain FIFO. No-deadline jobs sort
+  // last under EDF (deadline_abs ~ +inf) — they can afford to wait.
+  metrics_.admit.inc();
+  const double now = now_seconds();
+  job->enqueue_time = now;
+  job->deadline_abs = request.deadline_s > 0.0
+                          ? now + (request.deadline_s - job->since_receipt.elapsed())
+                          : 1e300;
+  job->est_service_s = est_service;
+  job->queue_key = {adm.edf ? job->deadline_abs : 0.0, queue_seq_++};
+  wait_queue_.emplace(job->queue_key, job);
+  if (request.client_id != 0) ++waiting_by_client_[request.client_id];
+  ++waiting_jobs_;
+  metrics_.queue_depth.set(waiting_jobs_);
+  dispatch_locked(out);
+  // Queued-but-cold payload spill: a job the dispatcher did not grant
+  // immediately parks its encoded request on disk (through the vfs seam)
+  // and releases the RAM charge, so the budget funds *running* jobs
+  // instead of queue ballast. The job leaves the queue for the I/O, so
+  // no dispatch, cancel or stop can act on it while jobs_mu_ is dropped;
+  // it still counts as waiting.
+  const auto queued_at = wait_queue_.find(job->queue_key);
+  if (queued_at != wait_queue_.end() && should_spill_locked(*job)) {
+    wait_queue_.erase(queued_at);
+    lock.unlock();
+    const bool parked = spill_job(job);
+    lock.lock();
+    if (parked) {
+      governor_.release(job->payload_bytes);
+      job->mem_charged_bytes -=
+          std::min<std::uint64_t>(job->mem_charged_bytes, job->payload_bytes);
+      job->spilled_bytes = job->payload_bytes;
     }
-    if (entry.dropped) {
-      // Shed-at-dequeue: the dispatcher decided computing this job is not
-      // worth a slot (budget lapsed in queue, or CoDel pressure). Reply
-      // retryably — another, less loaded server may still make it — with
-      // the dispatcher's backpressure hint attached.
-      result.retry_after_s = entry.retry_after_s;
-      lock.unlock();
-      result.queue_seconds = queue_watch.elapsed();
-      NS_DEBUG("server") << config_.name << " shed queued request "
-                         << result.request_id << " (" << entry.drop_reason << ")";
-      result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-      result.error_message = entry.drop_reason;
-      finish_job(job, result);
-      return result;
+    if (stopped_or_cancelled(/*counted=*/true)) return out;
+    wait_queue_.emplace(job->queue_key, job);
+    // The freed bytes may be exactly what the memory-blocked head of the
+    // queue was waiting for.
+    dispatch_locked(out);
+  }
+  return out;
+}
+
+void ComputeServer::run(Dispatched dispatched, bool this_thread_free) {
+  for (auto& [job, result] : dispatched.refused) complete(job, result);
+  const auto& granted = dispatched.granted;
+  for (std::size_t i = this_thread_free ? 1 : 0; i < granted.size(); ++i) {
+    // The pool refuses work only once stop() has begun; execute() then
+    // hands the slot back without running anything.
+    if (!job_pool_.submit([this, job = granted[i]] { execute(job); })) execute(granted[i]);
+  }
+  if (this_thread_free && !granted.empty()) execute(granted.front());
+}
+
+void ComputeServer::execute(const std::shared_ptr<ActiveJob>& job) {
+  const proto::SolveRequest& request = job->request;
+  // A slot release hands what it grants to the pool: this thread still
+  // owes its own job's reply, and the next job should not wait for it.
+  auto release_slot = [&](bool succeeded, double elapsed) {
+    Dispatched next;
+    {
+      std::lock_guard<std::mutex> lock(jobs_mu_);
+      --running_jobs_;
+      if (succeeded) {
+        aimd_on_success_locked();
+        // Service-time EWMA feeds the retry_after backpressure hint.
+        service_ewma_s_ =
+            service_ewma_s_ == 0.0 ? elapsed : 0.8 * service_ewma_s_ + 0.2 * elapsed;
+      }
+      dispatch_locked(next);
     }
-    job->queued.store(false);
+    run(std::move(next), /*this_thread_free=*/false);
+  };
+  if (stopping_.load() || job->token.cancelled()) {
+    // Granted but not started: hand the slot to the next waiter. A cancel
+    // that raced the grant still counts as cancelled-while-queued.
+    release_slot(false, 0.0);
+    if (stopping_.load()) {
+      abandon(job);
+    } else {
+      complete(job, cancelled_in_queue(*job));
+    }
+    return;
   }
   // Re-materialize a spilled payload before touching the kernel: the
   // dispatcher already charged the bytes at grant, so the reload cannot
@@ -854,28 +850,23 @@ std::optional<proto::SolveResult> ComputeServer::run_job(
   // resubmission carries the payload again.
   if (job->spilled) {
     if (auto reloaded = reload_spilled(job); !reloaded.ok()) {
-      {
-        std::lock_guard<std::mutex> lock(jobs_mu_);
-        --running_jobs_;
-        dispatch_locked();
-      }
+      release_slot(false, 0.0);
       metrics_.mem_spill_reload_errors.inc();
       mem_shed_.fetch_add(1);
       metrics_.mem_shed.inc();
       NS_WARN("server") << config_.name << " spill reload failed for request "
-                        << result.request_id << ": "
-                        << reloaded.error().to_string();
-      result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-      result.error_message = "memory governor: spill reload failed";
-      finish_job(job, result);
-      return result;
+                        << request.request_id << ": " << reloaded.error().to_string();
+      complete(job, error_result(request.request_id, ErrorCode::kServerOverloaded,
+                                 "memory governor: spill reload failed"));
+      return;
     }
   }
-  const double queue_wait = queue_watch.elapsed();
+  proto::SolveResult result;
+  result.request_id = request.request_id;
+  const double queue_wait = now_seconds() - job->enqueue_time;
   result.queue_seconds = queue_wait;
-  metrics_.queue_wait_s.observe(queue_wait);
   trace::record_span(request.trace_id, "server.queue_wait",
-                     since_receipt.elapsed() - queue_wait, queue_wait);
+                     job->since_receipt.elapsed() - queue_wait, queue_wait);
 
   // Checkpoint wiring: the kernel snapshots its loop state every interval;
   // with a journal open each snapshot also lands as a CHECKPOINT record, and
@@ -888,7 +879,7 @@ std::optional<proto::SolveResult> ComputeServer::run_job(
     if (journal_ckpt || replicate) {
       // Raw pointer on purpose: capturing the shared_ptr would cycle
       // (job -> ckpt -> callback -> job). The callback only fires from the
-      // kernel thread inside run_job, which holds the shared_ptr.
+      // kernel inside execute(), whose caller holds the shared_ptr.
       job->ckpt.set_on_snapshot([this, id = result.request_id, journal_ckpt,
                                  replicate, jp = job.get()](
                                     const checkpoint::Snapshot& snap) {
@@ -975,24 +966,14 @@ std::optional<proto::SolveResult> ComputeServer::run_job(
   // Release the byte account *before* freeing the slot: the dispatch below
   // runs with running_jobs_ back at 0 when this was the only job, and must
   // see this job's bytes gone or it would force-charge the next grant past
-  // the budget. Idempotent — finish_job / the crash path release again.
+  // the budget. Idempotent — complete() / abandon() release again.
   release_job_memory(job);
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    --running_jobs_;
-    if (outputs.ok()) {
-      aimd_on_success_locked();
-      // Service-time EWMA feeds the retry_after backpressure hint.
-      service_ewma_s_ =
-          service_ewma_s_ == 0.0 ? elapsed : 0.8 * service_ewma_s_ + 0.2 * elapsed;
-    }
-    dispatch_locked();
-  }
+  release_slot(outputs.ok(), elapsed);
 
   result.exec_seconds = elapsed;
   metrics_.compute_s.observe(elapsed);
   trace::record_span(request.trace_id, "server.compute",
-                     since_receipt.elapsed() - elapsed, elapsed);
+                     job->since_receipt.elapsed() - elapsed, elapsed);
   if (outputs.ok()) {
     result.outputs = std::move(outputs).value();
     completed_.fetch_add(1);
@@ -1018,17 +999,58 @@ std::optional<proto::SolveResult> ComputeServer::run_job(
     result.error_code = static_cast<std::uint16_t>(outputs.error().code);
     result.error_message = outputs.error().message;
   }
+  complete(job, result);
+}
+
+void ComputeServer::complete(const std::shared_ptr<ActiveJob>& job,
+                             const proto::SolveResult& result) {
   if (crash_mode_.load()) {
-    // Crashed mid-execution: the journal is frozen and the reply must not
-    // leave — to the outside world this job died with the process. The
-    // byte account is process memory, not durable state, so it is still
-    // released (the emulated-dead server shares this address space).
-    release_job_memory(job);
-    erase_active_job(job, result.request_id);
-    return std::nullopt;
+    // Crashed: the journal is frozen and the reply must not leave — to the
+    // outside world this job died with the process.
+    abandon(job);
+    return;
   }
   finish_job(job, result);
-  return result;
+  if (const auto conn = std::move(job->reply_to)) {
+    if (!conn->send(static_cast<std::uint16_t>(MessageType::kSolveResult),
+                    encode_payload(result), config_.link)
+             .ok()) {
+      conn->close();
+    }
+  }
+}
+
+void ComputeServer::abandon(const std::shared_ptr<ActiveJob>& job) {
+  // The byte account is process memory, not durable state, so it is
+  // released even when the emulated-dead server shares this address space.
+  release_job_memory(job);
+  erase_active_job(job, job->request.request_id);
+  if (const auto conn = std::move(job->reply_to)) conn->close();
+}
+
+std::vector<std::shared_ptr<ComputeServer::ActiveJob>> ComputeServer::take_queued(
+    bool cancelled_only) {
+  std::vector<std::shared_ptr<ActiveJob>> taken;
+  std::lock_guard<std::mutex> lock(jobs_mu_);
+  for (auto it = wait_queue_.begin(); it != wait_queue_.end();) {
+    if (cancelled_only && !it->second->token.cancelled()) {
+      ++it;
+      continue;
+    }
+    unqueue_locked(*it->second);
+    taken.push_back(std::move(it->second));
+    it = wait_queue_.erase(it);
+  }
+  return taken;
+}
+
+proto::SolveResult ComputeServer::cancelled_in_queue(const ActiveJob& job) {
+  cancelled_queued_.fetch_add(1);
+  metrics_.cancelled_queued.inc();
+  NS_DEBUG("server") << config_.name << " dropped queued request "
+                     << job.request.request_id << " (cancelled)";
+  return error_result(job.request.request_id, ErrorCode::kCancelled,
+                      "cancelled while queued");
 }
 
 double ComputeServer::current_workload() const {
@@ -1119,16 +1141,23 @@ proto::CancelOutcome ComputeServer::cancel_jobs(std::uint64_t request_id) {
   // request_ids are client-minted: trip every job carrying the id and report
   // the most-advanced state found. An unknown id reports kCompleted — the
   // reply already left (or never arrived), so there is nothing to reclaim.
-  std::lock_guard<std::mutex> lock(active_jobs_mu_);
   auto outcome = proto::CancelOutcome::kCompleted;
-  auto [it, end] = active_jobs_.equal_range(request_id);
-  for (; it != end; ++it) {
-    it->second->token.cancel();
-    if (!it->second->queued.load()) {
-      outcome = proto::CancelOutcome::kRunning;
-    } else if (outcome == proto::CancelOutcome::kCompleted) {
-      outcome = proto::CancelOutcome::kQueued;
+  {
+    std::lock_guard<std::mutex> lock(active_jobs_mu_);
+    auto [it, end] = active_jobs_.equal_range(request_id);
+    for (; it != end; ++it) {
+      it->second->token.cancel();
+      if (!it->second->queued.load()) {
+        outcome = proto::CancelOutcome::kRunning;
+      } else if (outcome == proto::CancelOutcome::kCompleted) {
+        outcome = proto::CancelOutcome::kQueued;
+      }
     }
+  }
+  // Queued jobs hold no thread to notice the token: finish them here.
+  // Running ones unwind at their next kernel checkpoint.
+  for (auto& job : take_queued(/*cancelled_only=*/true)) {
+    complete(job, cancelled_in_queue(*job));
   }
   return outcome;
 }
@@ -1181,10 +1210,8 @@ void ComputeServer::restore_from_replay(ReplaySummary replay) {
       if (remaining <= 0.0) {
         // Nothing left to spend. Journal the terminal record and store a
         // DEADLINE_EXCEEDED result so a re-attaching probe learns the fate.
-        proto::SolveResult result;
-        result.request_id = id;
-        result.error_code = static_cast<std::uint16_t>(ErrorCode::kDeadlineExceeded);
-        result.error_message = "deadline budget lapsed during server downtime";
+        const auto result = error_result(id, ErrorCode::kDeadlineExceeded,
+                                         "deadline budget lapsed during server downtime");
         {
           std::lock_guard<std::mutex> lock(journal_mu_);
           JournalRecord rec;
@@ -1213,23 +1240,6 @@ void ComputeServer::restore_from_replay(ReplaySummary replay) {
     jobs_recovered_.fetch_add(1);
     metrics_.jobs_recovered.inc();
     recovered_jobs_.push_back(std::move(job));
-  }
-}
-
-void ComputeServer::launch_recovered_jobs() {
-  std::vector<std::shared_ptr<ActiveJob>> jobs;
-  jobs.swap(recovered_jobs_);
-  // Launch in journal (= original admission) order; EDF re-sorts by the
-  // decayed deadlines anyway, and the sequence numbers keep FIFO ties.
-  for (auto& job : jobs) {
-    active_connections_.fetch_add(1);
-    std::thread([this, job] {
-      const Stopwatch since_receipt;
-      // No client connection to answer — the original caller re-attaches
-      // with a PROBE and reads the stored result.
-      (void)run_job(job, since_receipt);
-      active_connections_.fetch_sub(1);
-    }).detach();
   }
 }
 
@@ -1561,48 +1571,44 @@ proto::TransferAck ComputeServer::accept_transfer(proto::JobTransfer transfer) {
     ack.reason = "problem not in catalogue: " + transfer.request.problem;
     return ack;
   }
+  NS_INFO("server") << config_.name << " accepted transferred job " << ack.request_id
+                    << " from " << transfer.from_server << " at checkpoint iteration "
+                    << transfer.checkpoint_iteration;
+  transfer.request.deadline_s = transfer.deadline_remaining_s;
+  checkpoint::Snapshot snap;
+  snap.iteration = transfer.checkpoint_iteration;
+  snap.residual = transfer.checkpoint_residual;
+  snap.state = std::move(transfer.checkpoint_state);
+  readmit(std::move(transfer.request), std::move(snap));
+  ack.accepted = true;
+  return ack;
+}
+
+void ComputeServer::readmit(proto::SolveRequest request, checkpoint::Snapshot snap) {
   metrics_.requests.inc();
   auto job = std::make_shared<ActiveJob>();
   job->readmit = true;
-  transfer.request.deadline_s = transfer.deadline_remaining_s;
-  job->request = std::move(transfer.request);
-  const std::uint64_t ck_iteration = transfer.checkpoint_iteration;
-  const double ck_residual = transfer.checkpoint_residual;
-  if (ck_iteration > 0) {
-    checkpoint::Snapshot snap;
-    snap.iteration = ck_iteration;
-    snap.residual = ck_residual;
-    snap.state = transfer.checkpoint_state;  // keep the original for the journal
-    job->ckpt.install_restore(std::move(snap));
-  }
+  job->request = std::move(request);
+  if (snap.iteration > 0) job->ckpt.install_restore(snap);
   {
     std::lock_guard<std::mutex> lock(active_jobs_mu_);
-    active_jobs_.emplace(ack.request_id, job);
+    active_jobs_.emplace(job->request.request_id, job);
   }
   journal_admit(*job, job->request.deadline_s);
-  if (job->journaled && ck_iteration > 0) {
+  if (job->journaled && snap.iteration > 0) {
     // Persist the carried snapshot too: a crash right after the hand-off
     // must still resume mid-iteration, not from scratch.
     JournalRecord rec;
     rec.type = JournalRecordType::kCheckpoint;
-    rec.request_id = ack.request_id;
+    rec.request_id = job->request.request_id;
     rec.wall_micros = wall_micros();
-    rec.iteration = ck_iteration;
-    rec.residual = ck_residual;
-    rec.data = std::move(transfer.checkpoint_state);
+    rec.iteration = snap.iteration;
+    rec.residual = snap.residual;
+    rec.data = std::move(snap.state);
     journal_append(rec);
   }
-  NS_INFO("server") << config_.name << " accepted transferred job " << ack.request_id
-                    << " from " << transfer.from_server << " at checkpoint iteration "
-                    << ck_iteration;
-  ack.accepted = true;
-  active_connections_.fetch_add(1);
-  std::thread([this, job] {
-    const Stopwatch since_receipt;
-    (void)run_job(job, since_receipt);
-    active_connections_.fetch_sub(1);
-  }).detach();
-  return ack;
+  // Off this thread: the peer or client is waiting for its answer.
+  run(submit(std::move(job)), /*this_thread_free=*/false);
 }
 
 void ComputeServer::replicate_checkpoint(ActiveJob& job,
@@ -1850,43 +1856,14 @@ proto::CheckpointFetchReply ComputeServer::handle_checkpoint_fetch(
     }
   }
 
-  metrics_.requests.inc();
-  auto job = std::make_shared<ActiveJob>();
-  job->readmit = true;
-  job->request = std::move(entry.request);
-  job->request.deadline_s = deadline;
-  const std::uint64_t ck_iteration = entry.snapshot.iteration;
-  serial::Bytes journal_state = entry.snapshot.state;  // keep for the journal
-  if (ck_iteration > 0) {
-    job->ckpt.install_restore(std::move(entry.snapshot));
-  }
-  {
-    std::lock_guard<std::mutex> lock(active_jobs_mu_);
-    active_jobs_.emplace(fetch.request_id, job);
-  }
-  journal_admit(*job, job->request.deadline_s);
-  if (job->journaled && ck_iteration > 0) {
-    JournalRecord rec;
-    rec.type = JournalRecordType::kCheckpoint;
-    rec.request_id = fetch.request_id;
-    rec.wall_micros = wall_micros();
-    rec.iteration = ck_iteration;
-    rec.residual = reply.residual;
-    rec.data = std::move(journal_state);
-    journal_append(rec);
-  }
   failover_resumes_.fetch_add(1);
   metrics_.store_failover_resume.inc();
   NS_INFO("server") << config_.name << " adopted job " << fetch.request_id
                     << " from crashed peer " << reply.origin
-                    << " at replicated checkpoint iteration " << ck_iteration;
+                    << " at replicated checkpoint iteration " << entry.snapshot.iteration;
+  entry.request.deadline_s = deadline;
+  readmit(std::move(entry.request), std::move(entry.snapshot));
   reply.adopted = true;
-  active_connections_.fetch_add(1);
-  std::thread([this, job] {
-    const Stopwatch since_receipt;
-    (void)run_job(job, since_receipt);
-    active_connections_.fetch_sub(1);
-  }).detach();
   return reply;
 }
 
@@ -2096,17 +2073,18 @@ void ComputeServer::drain_work(double deadline_s) {
   }
 
   if (!quiescent()) {
-    // Deadline lapsed: cancel everything still in flight. The owning
-    // connection threads unwind through their checkpoints and reply
-    // kCancelled (retryable — the work moves to another server).
+    // Deadline lapsed: cancel everything still in flight. Running jobs
+    // unwind through their checkpoints and queued ones are finished here;
+    // both reply kCancelled (retryable — the work moves to another server).
     std::size_t tripped = 0;
     {
       std::lock_guard<std::mutex> lock(active_jobs_mu_);
       for (auto& [id, job] : active_jobs_) {
-        // Migration marks running jobs before the token trips: the owning
-        // thread then packages the latest checkpoint and forwards it
-        // instead of replying a bare kCancelled. Queued jobs stay plainly
-        // cancelled — the client's own retry moves them cheaply.
+        // Migration marks running jobs before the token trips: the thread
+        // executing the job then packages the latest checkpoint and
+        // forwards it instead of replying a bare kCancelled. Queued jobs
+        // stay plainly cancelled — the client's own retry moves them
+        // cheaply.
         if (config_.migrate_on_drain && !job->queued.load()) {
           job->migrate.store(true);
         }
@@ -2114,10 +2092,9 @@ void ComputeServer::drain_work(double deadline_s) {
         ++tripped;
       }
     }
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
+    for (auto& job : take_queued(/*cancelled_only=*/true)) {
+      complete(job, cancelled_in_queue(*job));
     }
-    jobs_cv_.notify_all();
     NS_WARN("server") << config_.name << " drain deadline lapsed; cancelled " << tripped
                       << " outstanding job(s)";
     const Deadline grace(config_.io_timeout_s);
@@ -2132,24 +2109,26 @@ void ComputeServer::drain_work(double deadline_s) {
 
 void ComputeServer::stop() {
   // Single flow whether the stop is local or was flagged by an injected
-  // crash. Order matters: solve handlers block on jobs_cv_ inside reactor
-  // pool threads, so the condvar must be woken (with stopping_ visible)
-  // *before* reactor_.stop() joins those threads, or the join deadlocks.
+  // crash. Once stopping_ is visible nothing more is granted; the queue is
+  // emptied without replies, and running kernels finish on the threads
+  // joined below — posted jobs first, while the reactor can still carry
+  // their replies.
   stopping_.store(true);
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-  }
-  jobs_cv_.notify_all();
+  for (auto& job : take_queued(/*cancelled_only=*/false)) abandon(job);
+  job_pool_.stop();
   reactor_.stop();
   listener_.close();  // only still bound if start() failed before the reactor adopted it
   if (report_thread_.joinable()) report_thread_.join();
   if (drain_thread_.joinable()) drain_thread_.join();
-  // Recovered-job and transfer threads are detached; give them the same
-  // bounded drain the connection threads used to get.
-  const Deadline deadline(config_.io_timeout_s + 1.0);
-  while (active_connections_.load() > 0 && !deadline.expired()) {
-    sleep_seconds(0.001);
+  // No server thread is left. A job still registered was granted but its
+  // pool task never started (the pool drops pending tasks), or was
+  // recovered by a start() that then failed: it leaves like a queued one.
+  std::vector<std::shared_ptr<ActiveJob>> left;
+  {
+    std::lock_guard<std::mutex> lock(active_jobs_mu_);
+    for (const auto& [id, job] : active_jobs_) left.push_back(job);
   }
+  for (const auto& job : left) abandon(job);
 }
 
 }  // namespace ns::server

@@ -4,11 +4,13 @@
 // SolveRequests from clients. Connections live on an epoll reactor
 // (net/reactor.hpp): frames from any number of keep-alive connections are
 // decoded on one event loop and dispatched to an elastic handler pool, so
-// concurrent requests pipeline over a single client connection. Admission
-// past the handler is still the bounded worker-slot queue; workload — the
-// number of requests running or waiting plus any configured synthetic
-// background load — is reported to the agent periodically with a change
-// threshold, reproducing the original system's traffic-bounded reporting.
+// concurrent requests pipeline over a single client connection. The server
+// queues jobs, not threads: new, recovered, transferred and adopted jobs
+// all go submit() -> EDF wait queue -> execute() -> complete() (see
+// ActiveJob). Workload — the number of jobs running or waiting plus any
+// configured synthetic background load — is reported to the agent
+// periodically with a change threshold, reproducing the original system's
+// traffic-bounded reporting.
 //
 // Heterogeneous pools on one machine are emulated with `speed_factor`
 // in (0, 1]: after executing a request natively, the server busy-spins
@@ -22,13 +24,11 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <deque>
 #include <map>
 #include <utility>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,6 +44,7 @@
 #include "net/reactor.hpp"
 #include "net/shaped_link.hpp"
 #include "net/socket.hpp"
+#include "net/task_pool.hpp"
 #include "net/transport.hpp"
 #include "proto/messages.hpp"
 #include "server/journal.hpp"
@@ -390,7 +391,6 @@ class ComputeServer {
     metrics::Gauge& mem_peak;
     metrics::Gauge& mem_budget;
     metrics::Gauge& mem_spill_active;
-    metrics::Histogram& queue_wait_s;
     metrics::Histogram& queue_sojourn_s;
     metrics::Histogram& compute_s;
     metrics::Gauge& queue_depth;
@@ -398,18 +398,26 @@ class ComputeServer {
     metrics::Gauge& draining;
   };
 
-  /// One admitted SolveRequest, visible (keyed by request_id) from its
-  /// admission until its reply: the CANCEL handler and the drain sweep trip
-  /// the token; the owning connection thread polls it while queued (cv
-  /// predicate) and while computing (kernel checkpoints). request_ids are
-  /// client-minted, so collisions across clients are possible — hence a
+  /// One admitted job, visible (keyed by request_id) in active_jobs_ from
+  /// its admission until its terminal record. While waiting it sits in
+  /// wait_queue_ and holds no thread; cancel, drain and stop take it off the
+  /// queue and finish it directly. Once granted, one thread owns it until
+  /// complete() or abandon(), and its kernel polls the token. request_ids
+  /// are client-minted, so collisions across clients are possible — hence a
   /// multimap; a cancel simply trips every job carrying the id.
   struct ActiveJob {
     cancel::Token token;
+    /// True until the dispatcher grants a slot (CANCEL/PROBE report it).
     std::atomic<bool> queued{true};
-    /// The request itself lives with the job (not on the connection thread's
-    /// stack) so journal compaction and drain migration can re-serialize it.
+    /// The request itself lives with the job so journal compaction and drain
+    /// migration can re-serialize it.
     proto::SolveRequest request;
+    /// A hold() on the client's connection, keeping it out of the idle
+    /// sweep until the reply is queued. Null for recovered, transferred and
+    /// adopted jobs: their callers re-attach with a PROBE.
+    net::ReactorConnPtr reply_to;
+    /// Started at receipt; deadline budgets and trace spans are relative to it.
+    Stopwatch since_receipt;
     /// Iteration-granular progress/snapshot channel bound around execute().
     checkpoint::Token ckpt;
     std::atomic<bool> started{false};
@@ -423,12 +431,20 @@ class ComputeServer {
     bool readmit = false;
     /// An ADMITTED record for this job is on disk (terminal record owed).
     bool journaled = false;
+    // ---- wait-queue state (under jobs_mu_) ----
+    std::pair<double, std::uint64_t> queue_key;  // EDF (deadline, seq) or (0, seq)
+    double enqueue_time = 0.0;    // now_seconds() at admission
+    double est_service_s = 0.0;   // predicted compute time (0 = unknown)
     // ---- memory accounting (mutated under jobs_mu_ until dispatch; owner-
     // thread-only afterwards) ----
     /// Serialized payload size charged to the governor at admission.
     std::uint64_t payload_bytes = 0;
     /// Working-set estimate charged by the dispatcher at slot grant.
     std::uint64_t ws_bytes = 0;
+    /// Payload bytes released to the spill store while waiting; the
+    /// dispatcher re-charges them at grant (the reload re-materializes the
+    /// payload in RAM).
+    std::uint64_t spilled_bytes = 0;
     /// Bytes currently charged to the governor on this job's behalf;
     /// released in one step when the job reaches any terminal path.
     std::uint64_t mem_charged_bytes = 0;
@@ -438,13 +454,13 @@ class ComputeServer {
     bool spilled = false;
     std::int64_t admitted_wall_us = 0;        // ADMITTED record stamp
     double admit_deadline_remaining_s = 0.0;  // budget left at admission
-    /// Absolute deadline fixed at enqueue (1e300 = none); read by the
-    /// migration path to compute the hand-off budget.
+    /// Absolute deadline fixed at enqueue (1e300 = none): the EDF key, and
+    /// the hand-off budget for migration and replication.
     double deadline_abs = 1e300;
 
     // ---- checkpoint replication state ----
-    // Touched only from the owning kernel thread (the on_snapshot callback
-    // fires synchronously at loop heads), so no lock is needed.
+    // Touched only from the thread executing the job (the on_snapshot
+    // callback fires synchronously at loop heads), so no lock is needed.
     /// One replica peer's view of this job.
     struct ReplPeer {
       bool sent_request = false;      // peer holds the SolveRequest already
@@ -468,32 +484,11 @@ class ComputeServer {
     double backoff_s = 0.0;          // decorrelated-jitter failure backoff
   };
 
-  /// One request waiting in the admission queue. Lives on the owning
-  /// connection thread's stack; registered in `wait_queue_` (under
-  /// `jobs_mu_`) between admission and the dispatcher's decision. The
-  /// dispatcher either grants it a worker slot (`ready`) or sheds it
-  /// (`dropped` + the retryable reply to send); the owner wakes on the
-  /// shared condvar and acts on whichever flag is set.
-  struct WaitEntry {
-    std::pair<double, std::uint64_t> key;  // EDF (deadline, seq) or (0, seq)
-    double enqueue_time = 0.0;             // now_seconds() at admission
-    double deadline_abs = 0.0;             // absolute deadline; huge if none
-    double est_service_s = 0.0;            // predicted compute time (0 = unknown)
-    std::uint64_t client_id = 0;
-    bool ready = false;
-    bool dropped = false;
-    const char* drop_reason = "";
-    double retry_after_s = 0.0;            // backpressure hint for the reply
-    // ---- memory accounting (all under jobs_mu_) ----
-    /// Working-set bytes the dispatcher must charge before granting.
-    std::uint64_t ws_bytes = 0;
-    /// Payload bytes released to the spill store while waiting; the
-    /// dispatcher re-charges them at grant (the reload re-materializes the
-    /// payload in RAM).
-    std::uint64_t spilled_bytes = 0;
-    /// Bytes the dispatcher actually charged at grant; the owner folds this
-    /// into ActiveJob::mem_charged_bytes after waking.
-    std::uint64_t granted_bytes = 0;
+  /// Jobs granted a slot and jobs refused (with their reply) under jobs_mu_,
+  /// acted on once it is released: acting journals and replies.
+  struct Dispatched {
+    std::vector<std::shared_ptr<ActiveJob>> granted;
+    std::vector<std::pair<std::shared_ptr<ActiveJob>, proto::SolveResult>> refused;
   };
 
   ComputeServer(ServerConfig config, net::TcpListener listener, double rated_mflops);
@@ -509,8 +504,27 @@ class ComputeServer {
   /// Runs on a pool thread; returns false to drop the connection (protocol
   /// violation, injected drop, shutdown).
   bool handle_message(const net::ReactorConnPtr& conn, net::Message&& msg);
-  /// The SolveRequest path: failure injection, admission, execution, reply.
+  /// The SolveRequest path: failure injection, then submit(); runs what the
+  /// admission granted on this (now free) thread.
   bool handle_solve(const net::ReactorConnPtr& conn, const serial::Bytes& payload);
+
+  // ---- the job lifecycle ----
+  /// Admission checks, then the EDF wait queue and a dispatch pass.
+  Dispatched submit(std::shared_ptr<ActiveJob> job);
+  /// Complete the refused jobs and execute the granted ones: the first on
+  /// this thread when it is free, the rest on job_pool_.
+  void run(Dispatched dispatched, bool this_thread_free);
+  /// Kernel, slot release (its grants go to job_pool_), complete().
+  void execute(const std::shared_ptr<ActiveJob>& job);
+  /// finish_job(), then the reply (neither under crash(): abandon()).
+  void complete(const std::shared_ptr<ActiveJob>& job, const proto::SolveResult& result);
+  /// Drop a job with no reply and no terminal record (stop, crash), so
+  /// replay re-admits it; closes the connection the reply was owed on.
+  void abandon(const std::shared_ptr<ActiveJob>& job);
+  /// Take every job, or only those whose token tripped, off the wait queue.
+  std::vector<std::shared_ptr<ActiveJob>> take_queued(bool cancelled_only);
+  /// The kCancelled reply of a job cancelled before it started (counted).
+  proto::SolveResult cancelled_in_queue(const ActiveJob& job);
   void report_loop();
   void send_workload_report(double workload);
   /// Predicted service time for one request from the problem's complexity
@@ -518,9 +532,12 @@ class ComputeServer {
   double estimate_service_seconds(const proto::SolveRequest& request) const;
   // ---- admission queue internals; all *_locked require jobs_mu_ ----
   /// Fill free worker slots from the wait queue in EDF order, shedding
-  /// expired / CoDel-flagged entries along the way. Called after every
-  /// enqueue and every slot release.
-  void dispatch_locked();
+  /// expired / CoDel-flagged / cancelled entries along the way. Called
+  /// after every enqueue and every slot release; grants nothing once
+  /// stopping.
+  void dispatch_locked(Dispatched& out);
+  /// Waiting-side bookkeeping for a job leaving wait_queue_.
+  void unqueue_locked(const ActiveJob& job);
   int effective_concurrency_locked() const;
   /// Backpressure hint: expected time until a waiting slot frees, from the
   /// service-time EWMA and the current queue depth.
@@ -531,13 +548,11 @@ class ComputeServer {
   void aimd_on_overload_locked(double now);
   void record_sojourn_locked(double sojourn);
   double sojourn_p95_locked() const;
-  /// Remove `entry` from the wait queue if the dispatcher has not already
-  /// taken it (cancel / shutdown while queued).
-  void remove_wait_entry_locked(WaitEntry& entry);
   /// Decide failure injection for one request; returns the triggered mode.
   FailureSpec::Mode roll_failure();
-  /// Trip the token of every active job carrying `request_id`; returns the
-  /// most-advanced state found (running > queued > completed/unknown).
+  /// Trip the token of every active job carrying `request_id` and finish
+  /// the queued ones; returns the most-advanced state found (running >
+  /// queued > completed/unknown).
   proto::CancelOutcome cancel_jobs(std::uint64_t request_id);
   /// The drain worker: deregister, wait out the queue, cancel stragglers.
   void drain_work(double deadline_s);
@@ -556,11 +571,10 @@ class ComputeServer {
   // to drop a job.
 
   /// mkdir the data dir, replay + open the journal, rebuild unfinished jobs
-  /// (launched by launch_recovered_jobs() once the threads are up), and
-  /// compact the replayed history. Called once from start().
+  /// (submitted by start() once the threads are up), and compact the
+  /// replayed history. Called once from start().
   Status open_journal();
   void restore_from_replay(ReplaySummary replay);
-  void launch_recovered_jobs();
   /// Append one record; silent no-op without an open journal.
   void journal_append(const JournalRecord& record);
   void journal_append_locked(const JournalRecord& record);
@@ -574,11 +588,6 @@ class ComputeServer {
   /// Rewrite the journal with only live records once it outgrows the bound.
   void maybe_compact();
   std::vector<JournalRecord> collect_live_records_locked();
-  /// Admission queue + execution + terminal accounting for one registered
-  /// job. Returns the reply to send, or nullopt when the server is stopping
-  /// or crashed (no reply must leave).
-  std::optional<proto::SolveResult> run_job(const std::shared_ptr<ActiveJob>& job,
-                                            const Stopwatch& since_receipt);
   void erase_active_job(const std::shared_ptr<ActiveJob>& job,
                         std::uint64_t request_id);
   /// PROBE: the most-advanced state known for request_id.
@@ -586,6 +595,9 @@ class ComputeServer {
   /// JOB_TRANSFER receive side: admit the handed-over job and seed its
   /// checkpoint token from the carried snapshot.
   proto::TransferAck accept_transfer(proto::JobTransfer transfer);
+  /// Admit a transferred or adopted job, journaling and installing its
+  /// snapshot (if any), and queue it.
+  void readmit(proto::SolveRequest request, checkpoint::Snapshot snap);
   /// Persistent journal failure: fail-stop durability and advertise it.
   /// Requires journal_mu_ (the trigger sites already hold it).
   void enter_degraded_locked(const char* what);
@@ -650,19 +662,18 @@ class ComputeServer {
   std::atomic<bool> draining_{false};
   std::atomic<bool> drained_{false};
   std::thread drain_thread_;
-  std::atomic<int> active_connections_{0};
 
   std::mutex active_jobs_mu_;
   std::multimap<std::uint64_t, std::shared_ptr<ActiveJob>> active_jobs_;
 
-  // Admission queue + worker-pool capacity gate. Connection threads insert
-  // a WaitEntry and block on jobs_cv_; dispatch_locked() hands out worker
-  // slots in EDF order and sheds what cannot meet its deadline.
+  // Admission queue + worker-slot gate. submit() inserts jobs;
+  // dispatch_locked() hands out worker slots in EDF order and sheds what
+  // cannot meet its deadline. waiting_jobs_ also counts a job that is off
+  // the queue only while its payload spills.
   mutable std::mutex jobs_mu_;
-  std::condition_variable jobs_cv_;
   int running_jobs_ = 0;
   int waiting_jobs_ = 0;
-  std::multimap<std::pair<double, std::uint64_t>, WaitEntry*> wait_queue_;
+  std::map<std::pair<double, std::uint64_t>, std::shared_ptr<ActiveJob>> wait_queue_;
   std::uint64_t queue_seq_ = 0;
   std::map<std::uint64_t, int> waiting_by_client_;
   /// AIMD state: the fractional limit (effective limit = floor, >= aimd_min)
@@ -699,7 +710,7 @@ class ComputeServer {
   /// Guards the journal and the terminal-record protocol (see above).
   mutable std::mutex journal_mu_;
   Journal journal_;
-  /// Jobs rebuilt from the journal, waiting for launch_recovered_jobs().
+  /// Jobs rebuilt from the journal, submitted by start() once serving.
   std::vector<std::shared_ptr<ActiveJob>> recovered_jobs_;
   /// Terminal results kept for re-attaching probes, bounded FIFO.
   static constexpr std::size_t kMaxStoredResults = 512;
@@ -753,6 +764,9 @@ class ComputeServer {
   ServerMetrics metrics_;
 
   std::thread report_thread_;
+  /// Runs granted jobs that no free thread picked up; threads grow on demand
+  /// up to twice the concurrency bound and are joined by stop().
+  net::TaskPool job_pool_;
 };
 
 }  // namespace ns::server

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -274,6 +275,71 @@ TEST(DurableTest, DrainMigratesRunningJobsToPeer) {
   // from-scratch restarts.
   EXPECT_EQ(cluster.value()->server(1).jobs_resumed(), 2u);
   EXPECT_GE(cluster.value()->server(1).last_resume_iteration(), 50u);
+}
+
+// A job transferred in by a draining peer is still computing when stop()
+// begins, long past io_timeout_s. stop() must join it: once the server is
+// destroyed no thread of it is left to touch the freed object, and the job
+// finished rather than being cut off.
+TEST(DurableTest, StopJoinsTransferredJobStillComputing) {
+  testkit::ClusterConfig config;
+  config.servers = testkit::uniform_pool(1, /*workers=*/1);
+  config.rating_base = 1000.0;
+  auto cluster = testkit::TestCluster::start(config);
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+
+  auto thread_count = [] {
+    std::size_t n = 0;
+    for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)task;
+      ++n;
+    }
+    return n;
+  };
+  const std::size_t threads_before = thread_count();
+  server::ServerConfig sc;
+  sc.name = "receiver";
+  sc.agents = {cluster.value()->agent_endpoint()};
+  sc.rating_override = 1000.0;
+  sc.slowdown_mode = server::SlowdownMode::kSleep;
+  sc.io_timeout_s = 0.5;
+  auto receiver = server::ComputeServer::start(sc);
+  ASSERT_TRUE(receiver.ok()) << receiver.error().to_string();
+
+  // simwork(3000) = ~3 s, handed over the way a draining peer would.
+  proto::JobTransfer transfer;
+  transfer.request.request_id = 3100;
+  transfer.request.problem = "simwork";
+  transfer.request.args = {DataObject(std::int64_t{3000})};
+  transfer.from_server = "origin";
+  serial::Encoder enc;
+  transfer.encode(enc);
+  auto conn = net::TcpConnection::connect(receiver.value()->endpoint());
+  ASSERT_TRUE(conn.ok()) << conn.error().to_string();
+  ASSERT_TRUE(net::send_message(conn.value(),
+                                static_cast<std::uint16_t>(proto::MessageType::kJobTransfer),
+                                enc.take())
+                  .ok());
+  auto reply = net::recv_message(conn.value(), 5.0);
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  serial::Decoder dec(reply.value().payload);
+  auto ack = proto::TransferAck::decode(dec);
+  ASSERT_TRUE(ack.ok()) << ack.error().to_string();
+  ASSERT_TRUE(ack.value().accepted) << ack.value().reason;
+  // Computing, not just granted: a job that has not started when stop()
+  // begins is dropped for replay instead.
+  ASSERT_TRUE(eventually(
+      [&] { return probed_iteration(receiver.value()->endpoint(), 3100) > 0; }));
+
+  const Stopwatch since_start;
+  const auto completed_before = metrics::counter("server.completed_total").value();
+  receiver.value().reset();  // stop() + destroy
+  EXPECT_EQ(metrics::counter("server.completed_total").value(), completed_before + 1)
+      << "stop() returned before the transferred job finished";
+  EXPECT_LE(thread_count(), threads_before) << "a server thread outlived stop()";
+  // Wait out the job's original span: a thread left behind would touch the
+  // destroyed server by now (a heap-use-after-free under ASan).
+  sleep_seconds(std::max(0.0, 3.5 - since_start.elapsed()));
 }
 
 // ---- satellite: netslpr/netslwt against a long-running solve ----

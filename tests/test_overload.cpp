@@ -3,10 +3,14 @@
 // fair-share quotas, CoDel-style sojourn shedding, the AIMD concurrency
 // limit, and the cooperative retry_after backpressure loop. All scenarios
 // use simwork under SlowdownMode::kSleep so "service time" is wall-clock
-// sleep, not CPU — the tests run identically on a one-core host.
+// sleep, not CPU — the tests run identically on a one-core host. The job
+// lifecycle's own guarantees close the file: a queued job holds no thread,
+// and its reply outlives the reactor's idle sweep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -54,6 +58,16 @@ Result<proto::SolveResult> recv_solve_result(net::TcpConnection& conn, double ti
   }
   serial::Decoder dec(reply.value().payload);
   return proto::SolveResult::decode(dec);
+}
+
+// Threads in this process right now.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
 }
 
 // One full-speed single-worker server with the given admission knobs; the
@@ -346,6 +360,103 @@ TEST(OverloadTest, CodelShedsAndAimdBacksOffUnderSustainedPressure) {
   const auto* sojourn = snap.value().find("server.queue_sojourn_s");
   ASSERT_NE(sojourn, nullptr);
   EXPECT_GE(sojourn->count, 1u);
+}
+
+// ---- the job lifecycle: jobs are data, not parked threads ----
+
+// A 1-worker server with one long job running and 32 more queued behind it
+// over one raw pipelined connection: the queue grows, the thread count does
+// not. Cancelled and finished alike, every solve gets exactly one reply.
+TEST(OverloadTest, QueuedJobsHoldNoThread) {
+  auto cluster = single_server_cluster(/*rating=*/1000.0, /*max_queue=*/0, {});
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  auto& server = cluster.value()->server(0);
+  const auto solve = static_cast<std::uint16_t>(proto::MessageType::kSolveRequest);
+  constexpr std::uint64_t kLongId = 9000;
+  constexpr int kQueued = 32;
+
+  auto conn = net::TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok()) << conn.error().to_string();
+  // ~4 s on the single worker: the queue below builds up behind it.
+  ASSERT_TRUE(net::send_message(conn.value(), solve, encode_solve(kLongId, 4000)).ok());
+  ASSERT_TRUE(eventually([&] { return server.current_workload() >= 1.0; }));
+
+  const std::size_t threads_before = thread_count();
+  for (int i = 1; i <= kQueued; ++i) {
+    ASSERT_TRUE(net::send_message(conn.value(), solve, encode_solve(kLongId + i, 10)).ok());
+    // One at a time, so a burst of frames cannot grow the handler pool on
+    // its own: only a solve that keeps its thread could.
+    ASSERT_TRUE(eventually([&] { return server.current_workload() >= 1.0 + i; }))
+        << "solve " << i << " never queued";
+  }
+  const std::size_t threads_queued = thread_count();
+  EXPECT_LE(threads_queued, threads_before + 4)
+      << kQueued << " queued solves grew the process from " << threads_before << " to "
+      << threads_queued << " threads";
+
+  // Cancel every other queued job; the rest run once the long one is done.
+  for (int i = 2; i <= kQueued; i += 2) {
+    auto ack = client::cancel_request(server.endpoint(), kLongId + i);
+    ASSERT_TRUE(ack.ok()) << ack.error().to_string();
+    EXPECT_EQ(ack.value().outcome, proto::CancelOutcome::kQueued);
+  }
+
+  std::map<std::uint64_t, int> replies;
+  for (int i = 0; i <= kQueued; ++i) {
+    auto result = recv_solve_result(conn.value(), 15.0);
+    ASSERT_TRUE(result.ok()) << result.error().to_string();
+    const std::uint64_t id = result.value().request_id;
+    ++replies[id];
+    const bool cancelled = id != kLongId && (id - kLongId) % 2 == 0;
+    EXPECT_EQ(static_cast<ErrorCode>(result.value().error_code),
+              cancelled ? ErrorCode::kCancelled : ErrorCode::kOk)
+        << "request " << id;
+  }
+  EXPECT_EQ(replies.size(), static_cast<std::size_t>(kQueued + 1));
+  for (const auto& [id, count] : replies) EXPECT_EQ(count, 1) << "request " << id;
+  EXPECT_FALSE(net::recv_message(conn.value(), 0.3).ok()) << "a solve was answered twice";
+  EXPECT_EQ(server.cancelled_queued(), static_cast<std::uint64_t>(kQueued / 2));
+  EXPECT_EQ(server.completed(), static_cast<std::uint64_t>(1 + kQueued / 2));
+}
+
+// A queued job's handler returned long ago, so only its hold on the
+// connection keeps the reactor's idle sweep (max(io_timeout_s, 5 s)) off the
+// client's mux channel until the reply is queued.
+TEST(OverloadTest, ReplyOutlivesReactorIdleTimeout) {
+  testkit::ClusterConfig config;
+  config.servers = testkit::uniform_pool(1, /*workers=*/1);
+  config.servers[0].slowdown_mode = server::SlowdownMode::kSleep;
+  config.rating_base = 1000.0;
+  config.io_timeout_s = 0.5;  // the server's idle sweep: 5 s
+  auto cluster = testkit::TestCluster::start(std::move(config));
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  auto& server = cluster.value()->server(0);
+
+  // Occupy the worker from another connection for ~3 s.
+  auto occupier = net::TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(occupier.ok()) << occupier.error().to_string();
+  ASSERT_TRUE(net::send_message(occupier.value(),
+                                static_cast<std::uint16_t>(proto::MessageType::kSolveRequest),
+                                encode_solve(9100, 3000))
+                  .ok());
+  ASSERT_TRUE(eventually([&] { return server.current_workload() >= 1.0; }));
+
+  // ~3 s queued + ~4 s computing: silent on its connection past the sweep.
+  client::ClientConfig cc;
+  cc.agents = {cluster.value()->agent_endpoint()};
+  cc.io_timeout_s = 30.0;
+  client::NetSolveClient client(std::move(cc));
+  const Stopwatch watch;
+  client::CallStats stats;
+  auto out = client.netsl("simwork", {DataObject(std::int64_t{4000})}, &stats);
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  EXPECT_GT(watch.elapsed(), 6.0);
+  EXPECT_EQ(stats.attempts, 1) << "the reply did not arrive on the first connection";
+
+  auto first = recv_solve_result(occupier.value(), 5.0);
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+  EXPECT_EQ(first.value().error_code, 0);
+  EXPECT_EQ(server.completed(), 2u);
 }
 
 }  // namespace
