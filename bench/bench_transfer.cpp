@@ -14,8 +14,14 @@
 // --json dumps for the bench-gate CI lane. --quick caps the shaped links at
 // the sizes that already reach their ceiling (2^18 doubles on the LAN, 2^16
 // on the WAN), so the run fits a CI budget.
+//
+// bench.transfer.crc32.GBps is the frame CRC's own rate on a warmed 16 MiB
+// buffer. Every payload byte is checksummed on send and again on receive,
+// and the gate's floor on this gauge catches a fall back to the portable
+// path, which runs at about a tenth of the folded one.
 #include "bench/harness.hpp"
 #include "linalg/matrix.hpp"
+#include "serial/crc32.hpp"
 
 using namespace ns;
 using dsl::DataObject;
@@ -32,6 +38,21 @@ double median(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
   const std::size_t mid = xs.size() / 2;
   return xs.size() % 2 == 1 ? xs[mid] : (xs[mid - 1] + xs[mid]) / 2.0;
+}
+
+/// Median rate in GB/s of crc32() over one warmed 16 MiB buffer.
+double crc32_gbps() {
+  serial::Bytes buf(std::size_t{16} << 20);
+  for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  volatile std::uint32_t sink = serial::crc32(buf.data(), buf.size());
+  std::vector<double> times;
+  for (int r = 0; r < 15; ++r) {
+    const Stopwatch watch;
+    sink = serial::crc32(buf.data(), buf.size());
+    times.push_back(watch.elapsed());
+  }
+  (void)sink;
+  return static_cast<double>(buf.size()) / median(times) / 1e9;
 }
 
 }  // namespace
@@ -91,6 +112,11 @@ int main(int argc, char** argv) {
   }
   bench::row("shape check: bandwidth should approach the link ceiling for large sizes");
   bench::row("  (loopback: host-limited, lan: ~12.5 MB/s, wan: ~1.25 MB/s)");
+
+  const double crc_gbps = crc32_gbps();
+  bench::row("frame crc32, 16 MiB: %.2f GB/s (%s path)", crc_gbps,
+             serial::native_crc32_path() == serial::Crc32Path::kClmul ? "folded" : "portable");
+  metrics::gauge("bench.transfer.crc32.GBps").set(crc_gbps);
 
   if (!opts.json_path.empty() &&
       !bench::write_metrics_json(opts.json_path, "bench_transfer", opts.quick)) {

@@ -12,13 +12,8 @@ namespace ns::agent {
 
 namespace {
 
+using proto::encode_payload;
 using proto::MessageType;
-
-serial::Bytes encode_payload(const auto& msg) {
-  serial::Encoder enc;
-  msg.encode(enc);
-  return enc.take();
-}
 
 Status send_error(const net::ReactorConnPtr& conn, ErrorCode code,
                   const std::string& message) {

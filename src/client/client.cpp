@@ -15,13 +15,8 @@ namespace ns::client {
 
 namespace {
 
+using proto::encode_payload;
 using proto::MessageType;
-
-serial::Bytes encode_payload(const auto& msg) {
-  serial::Encoder enc;
-  msg.encode(enc);
-  return enc.take();
-}
 
 Result<net::Message> round_trip(const net::Endpoint& peer, std::uint16_t type,
                                 const serial::Bytes& payload, double timeout,

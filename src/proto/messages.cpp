@@ -271,6 +271,9 @@ Result<ProblemCatalog> ProblemCatalog::decode(serial::Decoder& dec) {
 }
 
 void SolveRequest::encode(serial::Encoder& enc) const {
+  // Reserved to the byte, so the arrays are copied once and the trailing
+  // fields never reallocate the buffer.
+  enc.reserve(enc.size() + 8 + 4 + problem.size() + dsl::args_byte_size(args) + 8 + 8 + 8 + 1);
   enc.put_u64(request_id);
   enc.put_string(problem);
   dsl::encode_args(enc, args);
@@ -313,6 +316,8 @@ Result<SolveRequest> SolveRequest::decode(serial::Decoder& dec) {
 }
 
 void SolveResult::encode(serial::Encoder& enc) const {
+  enc.reserve(enc.size() + 8 + 2 + 4 + error_message.size() + dsl::args_byte_size(outputs) +
+              8 + 8 + 8 + 4 + migrated_host.size() + 2);
   enc.put_u64(request_id);
   enc.put_u16(error_code);
   enc.put_string(error_message);

@@ -520,4 +520,11 @@ struct AgentStats {
   static Result<AgentStats> decode(serial::Decoder& dec);
 };
 
+/// One message as a frame payload.
+serial::Bytes encode_payload(const auto& msg) {
+  serial::Encoder enc;
+  msg.encode(enc);
+  return enc.take();
+}
+
 }  // namespace ns::proto

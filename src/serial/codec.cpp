@@ -4,47 +4,29 @@ namespace ns::serial {
 
 void Encoder::put_string(std::string_view s) {
   put_u32(static_cast<std::uint32_t>(s.size()));
-  const std::size_t offset = buf_.size();
-  buf_.resize(offset + s.size());
-  std::memcpy(buf_.data() + offset, s.data(), s.size());
+  append(s.data(), s.size());
 }
 
 void Encoder::put_bytes(const void* data, std::size_t size) {
   put_u32(static_cast<std::uint32_t>(size));
-  const std::size_t offset = buf_.size();
-  buf_.resize(offset + size);
-  if (size > 0) std::memcpy(buf_.data() + offset, data, size);
+  append(data, size);
 }
 
 void Encoder::put_f64_array(const double* data, std::size_t count) {
   put_u32(static_cast<std::uint32_t>(count));
-  const std::size_t offset = buf_.size();
-  buf_.resize(offset + count * sizeof(double));
   if constexpr (std::endian::native == std::endian::little) {
-    if (count > 0) std::memcpy(buf_.data() + offset, data, count * sizeof(double));
+    append(data, count * sizeof(double));
   } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto bits = std::bit_cast<std::uint64_t>(data[i]);
-      for (std::size_t b = 0; b < 8; ++b) {
-        buf_[offset + i * 8 + b] = static_cast<std::uint8_t>(bits >> (8 * b));
-      }
-    }
+    for (std::size_t i = 0; i < count; ++i) put_f64(data[i]);
   }
 }
 
 void Encoder::put_i32_array(const std::int32_t* data, std::size_t count) {
   put_u32(static_cast<std::uint32_t>(count));
-  const std::size_t offset = buf_.size();
-  buf_.resize(offset + count * sizeof(std::int32_t));
   if constexpr (std::endian::native == std::endian::little) {
-    if (count > 0) std::memcpy(buf_.data() + offset, data, count * sizeof(std::int32_t));
+    append(data, count * sizeof(std::int32_t));
   } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto bits = static_cast<std::uint32_t>(data[i]);
-      for (std::size_t b = 0; b < 4; ++b) {
-        buf_[offset + i * 4 + b] = static_cast<std::uint8_t>(bits >> (8 * b));
-      }
-    }
+    for (std::size_t i = 0; i < count; ++i) put_i32(data[i]);
   }
 }
 

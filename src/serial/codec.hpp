@@ -63,6 +63,13 @@ class Encoder {
     }
   }
 
+  /// Copies raw bytes onto the end; nothing is zero-filled first, and
+  /// within reserve() nothing is reallocated.
+  void append(const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const std::uint8_t*>(data);
+    buf_.insert(buf_.end(), bytes, bytes + size);
+  }
+
   Bytes buf_;
 };
 

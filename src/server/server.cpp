@@ -22,13 +22,8 @@ namespace ns::server {
 
 namespace {
 
+using proto::encode_payload;
 using proto::MessageType;
-
-serial::Bytes encode_payload(const auto& msg) {
-  serial::Encoder enc;
-  msg.encode(enc);
-  return enc.take();
-}
 
 proto::SolveResult error_result(std::uint64_t request_id, ErrorCode code,
                                 std::string message, double retry_after_s = 0.0) {

@@ -10,15 +10,8 @@ namespace ns::proto {
 namespace {
 
 template <typename T>
-serial::Bytes encode_msg(const T& msg) {
-  serial::Encoder enc;
-  msg.encode(enc);
-  return enc.take();
-}
-
-template <typename T>
 T round_trip(const T& msg) {
-  const auto bytes = encode_msg(msg);
+  const auto bytes = encode_payload(msg);
   serial::Decoder dec(bytes);
   auto back = T::decode(dec);
   EXPECT_TRUE(back.ok()) << (back.ok() ? "" : back.error().to_string());
@@ -129,6 +122,27 @@ TEST(ProtoTest, SolveRequestRoundTrip) {
   EXPECT_EQ(back.client_id, 0xc11e47ull);
 }
 
+// A bulk request or result is encoded into one exactly sized allocation: an
+// undersized reserve would regrow (and recopy) the buffer for the trailing
+// fields, leaving capacity above size.
+TEST(ProtoTest, BulkMessagesEncodeInOneExactAllocation) {
+  const linalg::Vector mib(std::size_t{1} << 17, 0.5);  // 1 MiB of doubles
+  SolveRequest request;
+  request.problem = "daxpy";
+  request.args = {dsl::DataObject(2.0), dsl::DataObject(mib), dsl::DataObject(mib)};
+  const serial::Bytes request_bytes = encode_payload(request);
+  EXPECT_EQ(request_bytes.capacity(), request_bytes.size());
+  EXPECT_EQ(round_trip(request).args, request.args);
+
+  SolveResult result;
+  result.error_message = "ok";
+  result.migrated_host = "10.0.0.7";
+  result.outputs = {dsl::DataObject(mib), dsl::DataObject(std::string("note"))};
+  const serial::Bytes result_bytes = encode_payload(result);
+  EXPECT_EQ(result_bytes.capacity(), result_bytes.size());
+  EXPECT_EQ(round_trip(result).outputs, result.outputs);
+}
+
 TEST(ProtoTest, SolveResultRoundTrip) {
   SolveResult msg;
   msg.request_id = 78;
@@ -155,7 +169,7 @@ TEST(ProtoTest, OldPeersWithoutOverloadFieldsStillParse) {
     msg.args = {dsl::DataObject(std::int64_t{7})};
     msg.deadline_s = 2.0;
     msg.client_id = 999;  // must NOT survive: legacy encoders never wrote it
-    auto bytes = encode_msg(msg);
+    auto bytes = encode_payload(msg);
     // Strip the trailing client_id u64 plus the later require_durable flag.
     bytes.resize(bytes.size() - 8 - 1);
     serial::Decoder dec(bytes);
@@ -171,7 +185,7 @@ TEST(ProtoTest, OldPeersWithoutOverloadFieldsStillParse) {
     SolveResult msg;
     msg.request_id = 6;
     msg.retry_after_s = 0.5;
-    auto bytes = encode_msg(msg);
+    auto bytes = encode_payload(msg);
     // Strip retry_after_s (f64) plus the later migrated_host/migrated_port
     // addition (empty string = u32 length, then u16): the pre-overload wire.
     bytes.resize(bytes.size() - 8 - 4 - 2);
@@ -186,7 +200,7 @@ TEST(ProtoTest, OldPeersWithoutOverloadFieldsStillParse) {
     SolveResult msg;
     msg.request_id = 6;
     msg.retry_after_s = 0.5;
-    auto bytes = encode_msg(msg);
+    auto bytes = encode_payload(msg);
     bytes.resize(bytes.size() - 4 - 2);  // strip only the migration fields
     serial::Decoder dec(bytes);
     auto back = SolveResult::decode(dec);
@@ -203,7 +217,7 @@ TEST(ProtoTest, OldPeersWithoutOverloadFieldsStillParse) {
     msg.workload = 1.0;
     msg.sojourn_p95_s = 9.0;
     msg.free_slots = 3.0;
-    auto bytes = encode_msg(msg);
+    auto bytes = encode_payload(msg);
     // Strip both trailing queue-pressure f64s plus the later durable i32 and
     // the memory fields (mem_free_bytes f64 + spill_active i32).
     bytes.resize(bytes.size() - 16 - 4 - 12);
@@ -231,7 +245,7 @@ TEST(ProtoTest, OldPeersWithoutDurabilityFieldsStillParse) {
     msg.args = {dsl::DataObject(std::int64_t{3})};
     msg.client_id = 42;
     msg.require_durable = true;  // must NOT survive: old encoders never wrote it
-    auto bytes = encode_msg(msg);
+    auto bytes = encode_payload(msg);
     bytes.resize(bytes.size() - 1);  // strip the trailing require_durable u8
     serial::Decoder dec(bytes);
     auto back = SolveRequest::decode(dec);
@@ -247,7 +261,7 @@ TEST(ProtoTest, OldPeersWithoutDurabilityFieldsStillParse) {
     msg.sojourn_p95_s = 0.25;
     msg.free_slots = 1.0;
     msg.durable = 1;  // must NOT survive
-    auto bytes = encode_msg(msg);
+    auto bytes = encode_payload(msg);
     // Strip the durable i32 plus the later memory fields (f64 + i32).
     bytes.resize(bytes.size() - 4 - 12);
     serial::Decoder dec(bytes);
@@ -267,7 +281,7 @@ TEST(ProtoTest, OldPeersWithoutDurabilityFieldsStillParse) {
     msg.request_id = 12;
     msg.problem = "cg";
     msg.args = {dsl::DataObject(std::int64_t{3})};
-    auto bytes = encode_msg(msg);
+    auto bytes = encode_payload(msg);
     bytes.back() = 7;
     serial::Decoder dec(bytes);
     EXPECT_FALSE(SolveRequest::decode(dec).ok());
@@ -288,7 +302,7 @@ TEST(ProtoTest, OldPeersWithoutMemoryFieldsStillParse) {
   msg.mem_free_bytes = 123.0;  // must NOT survive: old encoders never wrote it
   msg.spill_active = 1;        // must NOT survive
   {
-    auto bytes = encode_msg(msg);
+    auto bytes = encode_payload(msg);
     bytes.resize(bytes.size() - 12);  // strip mem_free_bytes f64 + spill_active i32
     serial::Decoder dec(bytes);
     auto back = WorkloadReport::decode(dec);
@@ -302,7 +316,7 @@ TEST(ProtoTest, OldPeersWithoutMemoryFieldsStillParse) {
   {
     // Truncated inside the memory group: mem_free_bytes present but
     // spill_active missing. The group is all-or-nothing.
-    auto bytes = encode_msg(msg);
+    auto bytes = encode_payload(msg);
     bytes.resize(bytes.size() - 4);
     serial::Decoder dec(bytes);
     EXPECT_FALSE(WorkloadReport::decode(dec).ok());
@@ -326,7 +340,7 @@ TEST(ProtoTest, MemoryFieldsFuzzRoundTrip) {
 
     // Random tail truncation somewhere inside the trailing groups must
     // either parse (clean era boundary) or fail cleanly — never crash.
-    auto bytes = encode_msg(report);
+    auto bytes = encode_payload(report);
     const auto cut = static_cast<std::size_t>(rng.uniform_int(0, 32));
     bytes.resize(std::max<std::size_t>(bytes.size() - cut, 12));
     serial::Decoder dec(bytes);
@@ -439,7 +453,7 @@ TEST(ProtoTest, CheckpointMessagesRoundTrip) {
     CheckpointFetch msg;
     msg.request_id = 1;
     msg.adopt = true;
-    auto bytes = encode_msg(msg);
+    auto bytes = encode_payload(msg);
     bytes.back() = 9;
     serial::Decoder dec(bytes);
     EXPECT_FALSE(CheckpointFetch::decode(dec).ok());
@@ -547,7 +561,7 @@ TEST(ProtoTest, CancelAckRejectsUnknownOutcome) {
   CancelAck ack;
   ack.request_id = 1;
   ack.outcome = CancelOutcome::kQueued;
-  auto bytes = encode_msg(ack);
+  auto bytes = encode_payload(ack);
   // The outcome byte is the last field; force it out of range.
   bytes.back() = 0x7f;
   serial::Decoder dec(bytes);
@@ -579,7 +593,7 @@ TEST(ProtoFuzzTest, TruncationsNeverCrash) {
   msg.problem = "dgemm";
   msg.args = {dsl::DataObject(linalg::Matrix::random(6, 6, rng)),
               dsl::DataObject(std::int64_t{5})};
-  const auto bytes = encode_msg(msg);
+  const auto bytes = encode_payload(msg);
   // Every strict prefix must either decode to a clean error or — at exactly
   // a backward-compat boundary where a trailing optional field begins —
   // parse as a legacy request with the field at its default. Never a crash.
@@ -666,7 +680,7 @@ TEST(ProtoFuzzTest, BitFlipsEitherDecodeOrFailCleanly) {
   c.server_name = "x";
   c.endpoint = {"127.0.0.1", 1};
   msg.candidates = {c};
-  const auto bytes = encode_msg(msg);
+  const auto bytes = encode_payload(msg);
   for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
     auto mutated = bytes;
     mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));

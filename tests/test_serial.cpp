@@ -241,32 +241,51 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CodecPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 
 // ---- CRC32 ----
+//
+// Every case runs on every path this build can run here, so the portable
+// slicing-by-8 path stays tested on a host that defaults to the folded one.
+
+const char* path_name(Crc32Path path) {
+  return path == Crc32Path::kClmul ? "clmul" : "portable";
+}
 
 TEST(Crc32Test, KnownVector) {
   // The canonical IEEE test vector.
   const char* s = "123456789";
-  EXPECT_EQ(crc32(s, 9), 0xcbf43926u);
+  for (const Crc32Path path : supported_crc32_paths()) {
+    EXPECT_EQ(crc32(s, 9, path), 0xcbf43926u) << path_name(path);
+  }
 }
 
-TEST(Crc32Test, EmptyIsZero) { EXPECT_EQ(crc32(nullptr, 0), 0u); }
+TEST(Crc32Test, EmptyIsZero) {
+  for (const Crc32Path path : supported_crc32_paths()) {
+    EXPECT_EQ(crc32(nullptr, 0, path), 0u) << path_name(path);
+  }
+}
 
 TEST(Crc32Test, IncrementalMatchesOneShot) {
   const std::string data = "the quick brown fox jumps over the lazy dog";
-  std::uint32_t crc = kCrc32Init;
-  crc = crc32_update(crc, data.data(), 10);
-  crc = crc32_update(crc, data.data() + 10, data.size() - 10);
-  EXPECT_EQ(crc32_final(crc), crc32(data.data(), data.size()));
+  for (const Crc32Path path : supported_crc32_paths()) {
+    std::uint32_t crc = kCrc32Init;
+    crc = crc32_update(crc, data.data(), 10, path);
+    crc = crc32_update(crc, data.data() + 10, data.size() - 10, path);
+    EXPECT_EQ(crc32_final(crc), crc32(data.data(), data.size(), path)) << path_name(path);
+  }
 }
 
 TEST(Crc32Test, SensitiveToSingleBitFlip) {
-  std::string data(64, 'a');
-  const auto base = crc32(data.data(), data.size());
-  data[17] = 'b';
-  EXPECT_NE(crc32(data.data(), data.size()), base);
+  for (const Crc32Path path : supported_crc32_paths()) {
+    for (const std::size_t size : {std::size_t{64}, std::size_t{1000}}) {
+      std::string data(size, 'a');
+      const auto base = crc32(data.data(), data.size(), path);
+      data[17] = 'b';
+      EXPECT_NE(crc32(data.data(), data.size(), path), base) << path_name(path) << " " << size;
+    }
+  }
 }
 
-// The simplest correct CRC-32: bit at a time, reflected 0xEDB88320. The
-// table-driven implementation must agree with it on every input.
+// The simplest correct CRC-32: bit at a time, reflected 0xEDB88320. Every
+// path must agree with it on every input.
 std::uint32_t reference_crc32_update(std::uint32_t crc, const std::uint8_t* data,
                                      std::size_t size) {
   for (std::size_t i = 0; i < size; ++i) {
@@ -287,17 +306,33 @@ Bytes random_bytes(Rng& rng, std::size_t size) {
 }
 
 TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Every length 0..1024 covers each count of 64-byte blocks, 16-byte
+  // blocks and tail bytes the folded path splits an input into; offsets
+  // 0..15 put the 16-byte loads at every alignment.
+  constexpr std::size_t kMaxLen = 1024;
   Rng rng(0xc3c32);
-  const Bytes buf = random_bytes(rng, 4099 + 8);
-  std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);  // every tail shape
-  for (int i = 0; i < 200; ++i) {
-    lengths.push_back(static_cast<std::size_t>(rng.uniform_int(0, 4099)));
+  const Bytes buf = random_bytes(rng, 4099 + 16);
+  for (std::size_t align = 0; align < 16; ++align) {
+    const std::uint8_t* p = buf.data() + align;
+    // prefix[n] is the reference running value over p[0, n).
+    std::vector<std::uint32_t> prefix{kCrc32Init};
+    for (std::size_t n = 0; n < kMaxLen; ++n) {
+      prefix.push_back(reference_crc32_update(prefix.back(), p + n, 1));
+    }
+    for (const Crc32Path path : supported_crc32_paths()) {
+      for (std::size_t n = 0; n <= kMaxLen; ++n) {
+        ASSERT_EQ(crc32(p, n, path), crc32_final(prefix[n]))
+            << path_name(path) << " length " << n << " offset " << align;
+      }
+    }
   }
-  for (const std::size_t n : lengths) {
-    for (std::size_t align = 0; align < 8; ++align) {
-      const std::uint8_t* p = buf.data() + align;
-      ASSERT_EQ(crc32(p, n), reference_crc32(p, n)) << "length " << n << " offset " << align;
+  for (int i = 0; i < 200; ++i) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 4099));
+    const auto align = static_cast<std::size_t>(rng.uniform_int(0, 15));
+    const std::uint8_t* p = buf.data() + align;
+    for (const Crc32Path path : supported_crc32_paths()) {
+      ASSERT_EQ(crc32(p, n, path), reference_crc32(p, n))
+          << path_name(path) << " length " << n << " offset " << align;
     }
   }
 }
@@ -306,8 +341,33 @@ TEST(Crc32Test, MatchesBitwiseReferenceOnLargeBuffers) {
   Rng rng(0x1a2be);
   for (const std::size_t n : {std::size_t{1} << 20, (std::size_t{16} << 20) + 7}) {
     const Bytes buf = random_bytes(rng, n);
-    EXPECT_EQ(crc32(buf.data(), buf.size()), reference_crc32(buf.data(), buf.size()))
-        << "length " << n;
+    const std::uint32_t expected = reference_crc32(buf.data(), buf.size());
+    for (const Crc32Path path : supported_crc32_paths()) {
+      EXPECT_EQ(crc32(buf.data(), buf.size(), path), expected)
+          << path_name(path) << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32Test, SplitAtEveryOffsetFromAnySeed) {
+  // A split anywhere in 300 bytes cuts the folded path's 64- and 16-byte
+  // block boundaries at every phase, and the seeds stand for the running
+  // value left by an earlier update. The two halves may run on different
+  // paths: each path continues any running value.
+  Rng rng(0x300);
+  const Bytes buf = random_bytes(rng, 300);
+  for (const std::uint32_t seed : {kCrc32Init, 0u, 0x12345678u, 0xdeadbeefu}) {
+    const std::uint32_t expected = reference_crc32_update(seed, buf.data(), buf.size());
+    for (const Crc32Path first : supported_crc32_paths()) {
+      for (const Crc32Path second : supported_crc32_paths()) {
+        for (std::size_t at = 0; at <= buf.size(); ++at) {
+          const std::uint32_t head = crc32_update(seed, buf.data(), at, first);
+          ASSERT_EQ(crc32_update(head, buf.data() + at, buf.size() - at, second), expected)
+              << path_name(first) << "+" << path_name(second) << " seed " << seed << " split "
+              << at;
+        }
+      }
+    }
   }
 }
 
@@ -315,16 +375,18 @@ TEST(Crc32Test, RandomSplitsChainThroughUpdate) {
   Rng rng(0x5917);
   for (int iter = 0; iter < 200; ++iter) {
     const Bytes buf = random_bytes(rng, static_cast<std::size_t>(rng.uniform_int(0, 4099)));
-    std::uint32_t crc = kCrc32Init;
-    std::size_t at = 0;
-    while (at < buf.size()) {
-      const auto step = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(buf.size() - at)));
-      crc = crc32_update(crc, buf.data() + at, step);
-      at += step;
+    for (const Crc32Path path : supported_crc32_paths()) {
+      std::uint32_t crc = kCrc32Init;
+      std::size_t at = 0;
+      while (at < buf.size()) {
+        const auto step = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(buf.size() - at)));
+        crc = crc32_update(crc, buf.data() + at, step, path);
+        at += step;
+      }
+      ASSERT_EQ(crc32_final(crc), reference_crc32(buf.data(), buf.size()))
+          << path_name(path) << " iteration " << iter << " length " << buf.size();
     }
-    ASSERT_EQ(crc32_final(crc), reference_crc32(buf.data(), buf.size()))
-        << "iteration " << iter << " length " << buf.size();
   }
 }
 
@@ -359,6 +421,19 @@ TEST(GoldenBytesTest, FrameImageIsPinned) {
   encode_frame_header(0x0102, golden_payload(), header);
   EXPECT_EQ(Bytes(header, header + kHeaderSize), Bytes(expected.begin(), expected.begin() + 16));
   EXPECT_EQ(build_frame(0x0102, {}), from_hex("4e535631010002010000000018296ac1"));
+}
+
+TEST(GoldenBytesTest, FoldedFrameImageIsPinned) {
+  // On a PCLMUL host, 211 payload bytes reach the folded CRC path: three
+  // 64-byte blocks, one 16-byte block and a 3-byte tail. The header was
+  // computed with an independent bitwise CRC-32.
+  Bytes payload(211);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  }
+  Bytes expected = from_hex("4e53563101000201d3000000acbdb9b2");
+  expected.insert(expected.end(), payload.begin(), payload.end());
+  EXPECT_EQ(build_frame(0x0102, payload), expected);
 }
 
 TEST(GoldenBytesTest, JournalRecordIsPinned) {
