@@ -1,6 +1,7 @@
 #include "agent/agent.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/clock.hpp"
 #include "common/log.hpp"
@@ -14,6 +15,29 @@ namespace {
 
 using proto::encode_payload;
 using proto::MessageType;
+
+/// A leased ranking is reused without a query only while the query is
+/// most of what a call costs: the top prediction is latency-bound, i.e.
+/// within this factor of the server's measured latency (the paper's model
+/// T = latency + bytes/bandwidth + flops/rate, with the last two terms
+/// small). Kernel-bound and bandwidth-bound calls keep per-call queries, so
+/// every such call is placed against fresh load data.
+constexpr double kLeaseLatencyFactor = 2.0;
+/// In-flight calls a lease admits. One per lease: a blocking caller never
+/// has more, and each grant claims a whole free worker slot.
+constexpr std::uint32_t kLeaseSlots = 1;
+/// Cap on a lease's call budget, whatever the prediction.
+constexpr std::uint32_t kMaxLeaseCalls = 1u << 16;
+
+bool latency_bound(const ServerRecord& server, double predicted_seconds) {
+  return server.latency_s > 0.0 && predicted_seconds <= kLeaseLatencyFactor * server.latency_s;
+}
+
+/// Calls the slots can complete within the lease at the predicted rate.
+std::uint32_t lease_budget(double lease_s, double predicted_seconds) {
+  const double calls = std::ceil(kLeaseSlots * lease_s / std::max(predicted_seconds, 1e-9));
+  return static_cast<std::uint32_t>(std::clamp(calls, 1.0, double{kMaxLeaseCalls}));
+}
 
 Status send_error(const net::ReactorConnPtr& conn, ErrorCode code,
                   const std::string& message) {
@@ -122,7 +146,10 @@ Agent::Agent(AgentConfig config, net::TcpListener listener,
       listener_(std::move(listener)),
       endpoint_(listener_.endpoint()),
       registry_(config_.registry),
-      policy_(std::move(policy)) {}
+      policy_(std::move(policy)),
+      queries_total_(metrics::counter("agent.queries_total")),
+      leases_total_(metrics::counter("agent.leases_total")),
+      schedule_span_(trace::span_histogram("agent.schedule")) {}
 
 Agent::~Agent() { stop(); }
 
@@ -252,7 +279,7 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
         return false;
       }
       stat_queries_.fetch_add(1);
-      metrics::counter("agent.queries_total").inc();
+      queries_total_.inc();
       const auto spec = registry_.problem_spec(query.value().problem);
       if (!spec) {
         metrics::counter("agent.unknown_problem_total").inc();
@@ -280,12 +307,26 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
         list.candidates = policy_->rank(records, profile);
       }
       list.schedule_seconds = schedule_watch.elapsed();
-      trace::record_span(query.value().trace_id, "agent.schedule", 0.0, list.schedule_seconds);
+      trace::record_span(query.value().trace_id, "agent.schedule", schedule_span_, 0.0,
+                         list.schedule_seconds);
       if (list.candidates.size() > query.value().max_candidates) {
         list.candidates.resize(query.value().max_candidates);
       }
       if (!list.candidates.empty()) {
-        registry_.record_assignment(list.candidates.front().server_id);
+        const auto& top = list.candidates.front();
+        const auto record = std::find_if(records.begin(), records.end(),
+                                         [&](const ServerRecord& r) { return r.id == top.server_id; });
+        const bool leasable = config_.lease_s > 0.0 && policy_->grants_leases() &&
+                              record != records.end() &&
+                              latency_bound(*record, top.predicted_seconds);
+        const LeaseRequest lease{query.value().client_id, kLeaseSlots,
+                                 now_seconds() + config_.lease_s};
+        if (registry_.record_assignment(top.server_id, leasable ? &lease : nullptr)) {
+          leases_total_.inc();
+          list.lease_seconds = config_.lease_s;
+          list.lease_slots = kLeaseSlots;
+          list.lease_calls = lease_budget(config_.lease_s, top.predicted_seconds);
+        }
       }
       return conn->send(static_cast<std::uint16_t>(MessageType::kServerList),
                                encode_payload(list))

@@ -16,6 +16,7 @@
 #include "agent/policy.hpp"
 #include "agent/registry.hpp"
 #include "common/error.hpp"
+#include "common/metrics.hpp"
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
@@ -43,6 +44,14 @@ struct AgentConfig {
   /// concurrent request bursts then dog-pile the server that looked idle in
   /// the last workload report.
   bool count_pending = true;
+  /// Lease length, in seconds, on a ranked list answered to a query (the
+  /// bound function handle): the client reuses the list without asking
+  /// again until the lease runs out, its call budget is spent, or a failure
+  /// revokes it. Granted only under the "mct" policy, for latency-bound
+  /// requests on a server that reported free worker slots beyond its
+  /// pending count. The default matches the servers' default report
+  /// period. 0 disables leases: one query per call.
+  double lease_s = 0.1;
   /// Federation: peer agents to exchange registry snapshots with. Servers
   /// registered at any agent in the mesh become visible to clients of every
   /// agent; freshness is resolved per entry (see ServerRegistry::apply_sync).
@@ -121,6 +130,12 @@ class Agent {
   std::atomic<bool> stopping_{false};
   std::thread ping_thread_;
   std::thread sync_thread_;
+
+  // Per-query instruments, resolved once: a registry lookup takes the
+  // process-global mutex and a string search.
+  metrics::Counter& queries_total_;
+  metrics::Counter& leases_total_;
+  metrics::Histogram& schedule_span_;
 
   std::atomic<std::uint64_t> stat_queries_{0};
   std::atomic<std::uint64_t> stat_registrations_{0};

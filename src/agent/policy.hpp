@@ -28,6 +28,12 @@ class SelectionPolicy {
       const std::vector<ServerRecord>& candidates, const RequestProfile& profile) = 0;
 
   virtual std::string_view name() const noexcept = 0;
+
+  /// Whether the ranking may be leased to the client for reuse across calls
+  /// (see AgentConfig::lease_s). Only a ranking by predicted completion time
+  /// can be: the baselines' contracts are per call (round robin rotates,
+  /// random reshuffles, least-loaded re-reads the load every query).
+  virtual bool grants_leases() const noexcept { return false; }
 };
 
 /// NetSolve's policy: ascending predicted completion time.
@@ -36,6 +42,7 @@ class MinCompletionTimePolicy final : public SelectionPolicy {
   std::vector<proto::ServerCandidate> rank(const std::vector<ServerRecord>& candidates,
                                            const RequestProfile& profile) override;
   std::string_view name() const noexcept override { return "mct"; }
+  bool grants_leases() const noexcept override { return true; }
 };
 
 /// Rotates through servers in id order, ignoring all state.

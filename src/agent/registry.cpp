@@ -247,13 +247,27 @@ void ServerRegistry::record_probe(proto::ServerId id, bool success) {
   }
 }
 
-void ServerRegistry::record_assignment(proto::ServerId id) {
+bool ServerRegistry::record_assignment(proto::ServerId id, const LeaseRequest* lease) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = servers_.find(id);
-  if (it != servers_.end()) {
-    it->second.assigned += 1;
-    it->second.pending += 1.0;
+  if (it == servers_.end()) return false;
+  auto& record = it->second;
+  record.assigned += 1;
+  bool granted = false;
+  if (lease != nullptr) {
+    auto& holders = lessees_[id];
+    const double now = now_seconds();
+    std::erase_if(holders, [now](const auto& holder) { return holder.second <= now; });
+    const bool holds = lease->client_id != 0 && holders.count(lease->client_id) > 0;
+    // free_slots < 0 (never reported) covers no new lease.
+    granted = holds || record.free_slots - record.pending >= lease->slots;
+    if (granted && lease->client_id != 0) {
+      auto& expiry = holders[lease->client_id];
+      expiry = std::max(expiry, lease->expires_at);
+    }
   }
+  record.pending += granted ? static_cast<double>(lease->slots) : 1.0;
+  return granted;
 }
 
 void ServerRegistry::expire_stale_locked() {

@@ -63,10 +63,12 @@ struct ServerRecord {
   double bandwidth_Bps = 0.0;
 
   std::uint64_t assigned = 0;       // times this server topped a ranking
-  /// Requests handed to this server since its last workload report. The
+  /// Requests handed to this server since its last workload report: 1 per
+  /// query answered without a lease, the slot count per lease granted. The
   /// predictor adds this to the reported workload so a burst of concurrent
-  /// queries spreads across the pool instead of dog-piling the one server
-  /// that looked idle in the (slightly stale) last report.
+  /// queries (or of leasing clients) spreads across the pool instead of
+  /// dog-piling the one server that looked idle in the (slightly stale) last
+  /// report.
   double pending = 0.0;
   int consecutive_failures = 0;
   bool alive = true;
@@ -116,6 +118,13 @@ struct RegistryConfig {
   double rating_recovery = 0.25;
 };
 
+/// A lease asked for with a query (see ServerRegistry::record_assignment).
+struct LeaseRequest {
+  std::uint64_t client_id = 0;  // 0 = anonymous: never counts as a holder
+  std::uint32_t slots = 0;
+  double expires_at = 0.0;      // now_seconds() when the lease would end
+};
+
 class ServerRegistry {
  public:
   explicit ServerRegistry(RegistryConfig config = {}) : config_(config) {}
@@ -149,8 +158,15 @@ class ServerRegistry {
   /// streak.
   void record_metrics(proto::ServerId id, std::uint64_t bytes, double seconds);
 
-  /// Bump the "assigned" counter (the ranking's round-robin state).
-  void record_assignment(proto::ServerId id);
+  /// Charge the server that topped a ranking: bump "assigned" (the
+  /// round-robin state) and its pending count. With `lease`, asks to lease
+  /// its slot count of in-flight calls to its client. The lease is granted
+  /// when the server's last report showed free worker slots beyond its
+  /// pending count, or when the client already holds a live lease there
+  /// (its slot is claimed: one caller's leases on several lists share it).
+  /// A grant charges pending with the slot count instead of 1. Returns
+  /// whether the lease was granted.
+  bool record_assignment(proto::ServerId id, const LeaseRequest* lease = nullptr);
 
   /// Quarantined servers whose cooldown has elapsed (transitioning them to
   /// half-open). The agent's ping loop probes these actively so a recovered
@@ -205,6 +221,8 @@ class ServerRegistry {
   std::mutex mu_;
   std::map<proto::ServerId, ServerRecord> servers_;
   std::map<std::string, dsl::ProblemSpec> specs_;
+  /// Per server: client id -> expiry of that client's latest lease there.
+  std::map<proto::ServerId, std::map<std::uint64_t, double>> lessees_;
   proto::ServerId next_id_ = 1;
 };
 

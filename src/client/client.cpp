@@ -1,6 +1,7 @@
 #include "client/client.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -44,7 +45,54 @@ std::uint64_t request_size_hint(const std::vector<dsl::DataObject>& args) {
   return hint;
 }
 
+/// Leases are keyed by size class as well as problem: the agent grants one
+/// only for latency-bound calls, and a list leased for 2 KB operands says
+/// nothing about 2 MB ones. A class spans a factor of 4 in input bytes.
+int size_class(std::uint64_t input_bytes) {
+  return static_cast<int>(std::bit_width(input_bytes) / 2);
+}
+
 }  // namespace
+
+// ---- function handles and leases ----
+
+NetSolveClient::FunctionHandle::FunctionHandle(const std::string& problem)
+    : attempt_s(metrics::histogram("client.problem." + problem + ".attempt_s")) {}
+
+NetSolveClient::FunctionHandle& NetSolveClient::function_handle(const std::string& problem,
+                                                                std::uint64_t input_bytes) {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  return handles_
+      .try_emplace(std::pair{problem, size_class(input_bytes)}, problem)
+      .first->second;
+}
+
+NetSolveClient::LeasePtr NetSolveClient::take_lease(FunctionHandle& handle) {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  const LeasePtr& lease = handle.lease;
+  if (!lease) return nullptr;
+  if (now_seconds() >= lease->expires_at || lease->calls_left == 0 ||
+      lease->in_flight >= lease->slots) {
+    handle.lease.reset();
+    return nullptr;
+  }
+  --lease->calls_left;
+  ++lease->in_flight;
+  return lease;
+}
+
+void NetSolveClient::end_lease_call(FunctionHandle& handle, const LeasePtr& lease,
+                                    bool revoke) {
+  if (!lease) return;
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  --lease->in_flight;
+  if (revoke && handle.lease == lease) handle.lease.reset();
+}
+
+void NetSolveClient::revoke_all_leases() {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  for (auto& [key, handle] : handles_) handle.lease.reset();
+}
 
 // ---- agent failover ----
 
@@ -90,6 +138,8 @@ Result<net::Message> NetSolveClient::agent_round_trip(std::uint16_t type,
       // Any reply — even an ErrorReply — means the agent is up.
       note_agent_result(index, true);
       if (failed_over) {
+        // Leases were charged against the dead agent's view of the pool.
+        revoke_all_leases();
         metrics::counter("client.agent_failover_total").inc();
         NS_INFO("client") << "failed over to agent "
                           << config_.agents[index].to_string();
@@ -116,12 +166,10 @@ void NetSolveClient::post_to_agent(std::uint16_t type, const serial::Bytes& payl
   (void)net::pool_post(config_.agents[index], type, payload, /*dial_timeout_s=*/1.0);
 }
 
-Result<proto::ServerList> NetSolveClient::query_metadata(const std::string& problem,
-                                                         std::uint64_t input_bytes,
-                                                         std::uint64_t size_hint,
-                                                         double timeout_cap,
-                                                         trace::TraceId trace_id,
-                                                         bool* degraded) {
+Result<NetSolveClient::ListPtr> NetSolveClient::query_metadata(
+    FunctionHandle& handle, const std::string& problem, std::uint64_t input_bytes,
+    std::uint64_t size_hint, double timeout_cap, trace::TraceId trace_id, bool* degraded,
+    LeasePtr* ticket) {
   proto::Query query;
   query.problem = problem;
   query.input_bytes = input_bytes;
@@ -132,6 +180,7 @@ Result<proto::ServerList> NetSolveClient::query_metadata(const std::string& prob
   query.size_hint = size_hint;
   query.max_candidates = config_.max_candidates;
   query.trace_id = trace_id;
+  query.client_id = client_id_;
 
   const double timeout =
       timeout_cap > 0.0 ? std::min(config_.io_timeout_s, timeout_cap) : config_.io_timeout_s;
@@ -141,14 +190,21 @@ Result<proto::ServerList> NetSolveClient::query_metadata(const std::string& prob
     // Every agent is unreachable. Degraded mode: serve the last good ranked
     // list for this problem from the staleness-bounded cache, so known work
     // keeps flowing direct-to-server through a full scheduler-tier outage.
+    // This call's own size class is preferred, else the freshest list of
+    // any size.
     if (config_.candidate_cache_ttl_s > 0.0) {
       std::lock_guard<std::mutex> lock(cache_mu_);
-      const auto it = candidate_cache_.find(problem);
-      if (it != candidate_cache_.end() &&
-          now_seconds() - it->second.stored_at <= config_.candidate_cache_ttl_s) {
+      const FunctionHandle* best = handle.list ? &handle : nullptr;
+      for (auto it = handles_.lower_bound({problem, 0});
+           best != &handle && it != handles_.end() && it->first.first == problem; ++it) {
+        if (it->second.list && (best == nullptr || it->second.stored_at > best->stored_at)) {
+          best = &it->second;
+        }
+      }
+      if (best != nullptr && now_seconds() - best->stored_at <= config_.candidate_cache_ttl_s) {
         if (degraded != nullptr) *degraded = true;
         NS_WARN("client") << "all agents down; using cached candidates for " << problem;
-        return it->second.list;
+        return best->list;
       }
     }
     return make_error(ErrorCode::kAgentUnavailable, reply.error().to_string());
@@ -160,19 +216,42 @@ Result<proto::ServerList> NetSolveClient::query_metadata(const std::string& prob
     return make_error(ErrorCode::kProtocol, "expected ServerList from agent");
   }
   serial::Decoder dec(reply.value().payload);
-  auto list = proto::ServerList::decode(dec);
-  if (list.ok() && !list.value().candidates.empty() && config_.candidate_cache_ttl_s > 0.0) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto& slot = candidate_cache_[problem];
-    slot.list = list.value();
-    slot.stored_at = now_seconds();
+  auto decoded = proto::ServerList::decode(dec);
+  if (!decoded.ok()) return decoded.error();
+  auto list = std::make_shared<const proto::ServerList>(std::move(decoded).value());
+  if (list->candidates.empty()) return list;
+
+  // Keep the list: it answers degraded-mode calls, and under a lease the
+  // next calls too. A reply without a lease ends any lease held before.
+  LeasePtr lease;
+  const double now = now_seconds();
+  if (list->has_lease()) {
+    lease = std::make_shared<Lease>();
+    lease->list = list;
+    lease->expires_at = now + list->lease_seconds;
+    lease->calls_left = list->lease_calls;
+    lease->slots = list->lease_slots;
+    if (ticket != nullptr) {
+      // The querying call is the lease's first.
+      --lease->calls_left;
+      ++lease->in_flight;
+      *ticket = lease;
+    }
   }
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  handle.list = list;
+  handle.stored_at = now;
+  handle.lease = std::move(lease);
   return list;
 }
 
 Result<proto::ServerList> NetSolveClient::query(const std::string& problem,
                                                 const std::vector<dsl::DataObject>& args) {
-  return query_metadata(problem, dsl::args_byte_size(args), request_size_hint(args));
+  const std::uint64_t input_bytes = dsl::args_byte_size(args);
+  auto list = query_metadata(function_handle(problem, input_bytes), problem, input_bytes,
+                             request_size_hint(args));
+  if (!list.ok()) return list.error();
+  return *list.value();
 }
 
 Result<proto::SolveResult> NetSolveClient::attempt(const proto::ServerCandidate& candidate,
@@ -233,11 +312,10 @@ double NetSolveClient::backoff_jitter(double prev_sleep) {
                   backoff_rng_.uniform(config_.backoff_base_s, prev_sleep * 3.0));
 }
 
-double NetSolveClient::hedge_delay_for(const std::string& problem) const {
+double NetSolveClient::hedge_delay_for(const metrics::Histogram& attempt_s) const {
   if (config_.hedge_delay_s <= 0.0) return 0.0;
-  const auto& hist = metrics::histogram("client.problem." + problem + ".attempt_s");
-  if (hist.count() < config_.hedge_min_samples) return config_.hedge_delay_s;
-  const double q = hist.percentile(config_.hedge_quantile);
+  if (attempt_s.count() < config_.hedge_min_samples) return config_.hedge_delay_s;
+  const double q = attempt_s.percentile(config_.hedge_quantile);
   return q > 0.0 ? q : config_.hedge_delay_s;
 }
 
@@ -284,7 +362,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
   CallStats& st = stats != nullptr ? *stats : local_stats;
   st = CallStats{};
   st.trace_id = trace::new_trace_id();
-  metrics::counter("client.calls_total").inc();
+  calls_total_.inc();
   // Spans the client measured land both in the stats object (for in-process
   // inspection) and in the registry's span.* histograms (for METRICS_QUERY
   // scrapes). Spans it reconstructs from the server's and agent's reported
@@ -293,8 +371,9 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
   const auto add_derived_span = [&](const char* name, double start_s, double dur_s) {
     st.spans.push_back(trace::Span{name, start_s, dur_s});
   };
-  const auto add_span = [&](const char* name, double start_s, double dur_s) {
-    trace::record_span(st.trace_id, name, start_s, dur_s);
+  const auto add_span = [&](const char* name, metrics::Histogram& hist, double start_s,
+                            double dur_s) {
+    trace::record_span(st.trace_id, name, hist, start_s, dur_s);
     add_derived_span(name, start_s, dur_s);
   };
 
@@ -307,6 +386,17 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
   request.require_durable = config_.require_durable;
   const std::uint64_t input_bytes = dsl::args_byte_size(args);
   const std::uint64_t size_hint = request_size_hint(args);
+
+  FunctionHandle& handle = function_handle(problem, input_bytes);
+  // A live lease on this problem and size class hands over the ranked list
+  // of an earlier query: the call goes straight to the server.
+  LeasePtr ticket = take_lease(handle);
+  // Ends this call's hold on its lease; `revoke` also drops the lease, so
+  // the next call asks the agent again.
+  const auto release_lease = [&](bool revoke) {
+    end_lease_call(handle, ticket, revoke);
+    ticket.reset();
+  };
 
   int attempts = 0;
   double prev_sleep = config_.backoff_base_s;
@@ -334,8 +424,9 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
     st.backoff_seconds = backoff_total;
     st.total_seconds = total_watch.elapsed();
     sort_spans();
+    release_lease(false);
     metrics::counter("client.failures_total").inc();
-    metrics::histogram("client.call_s").observe(st.total_seconds);
+    call_s_.observe(st.total_seconds);
     return err;
   };
 
@@ -348,14 +439,18 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
     // whatever remains of the measured IO time is transfer. The wire carries
     // no one-way timings, so the transfer budget is split evenly around the
     // server-side spans.
-    add_span("client.attempt", attempt_start, io_seconds);
+    add_span("client.attempt", attempt_span_, attempt_start, io_seconds);
     const double queue = std::max(result.queue_seconds, 0.0);
     const double exec = std::max(result.exec_seconds, 0.0);
     const double half_transfer = std::max(io_seconds - queue - exec, 0.0) / 2.0;
     add_derived_span("server.queue_wait", attempt_start + half_transfer, queue);
     add_derived_span("server.compute", attempt_start + half_transfer + queue, exec);
-    add_span("client.result_transfer", attempt_start + half_transfer + queue + exec,
-             half_transfer);
+    add_span("client.result_transfer", result_transfer_span_,
+             attempt_start + half_transfer + queue + exec, half_transfer);
+    // A call the server had to queue for longer than the whole predicted
+    // call means the lease's premise (a latency-bound call on a server with
+    // a free slot) no longer holds.
+    release_lease(queue > cand.predicted_seconds);
 
     const std::uint64_t output_bytes = dsl::args_byte_size(result.outputs);
     const double transfer = std::max(io_seconds - result.exec_seconds, 0.0);
@@ -363,7 +458,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
     // Successful attempts only: a straggler's latency says where the timeout
     // landed, not where the service time lives, and would poison the
     // quantile the hedge delay is derived from.
-    metrics::histogram("client.problem." + problem + ".attempt_s").observe(io_seconds);
+    handle.attempt_s.observe(io_seconds);
     st.server_id = cand.server_id;
     st.server_name = cand.server_name;
     st.predicted_seconds = cand.predicted_seconds;
@@ -375,13 +470,13 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
     st.attempts = attempts;
     st.backoff_seconds = backoff_total;
     sort_spans();
-    metrics::histogram("client.call_s").observe(st.total_seconds);
+    call_s_.observe(st.total_seconds);
     return std::move(result.outputs);
   };
 
   // Hedge delay for this call (0 = hedging off): the observed per-problem
   // latency quantile once warmed up, else the configured static delay.
-  const double hedge_delay = hedge_delay_for(problem);
+  const double hedge_delay = hedge_delay_for(handle.attempt_s);
 
   // Budgeted calls retry until the deadline, not a fixed attempt count; a
   // budget of time is what the caller actually has to spend.
@@ -404,38 +499,50 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
   };
 
   while (!out_of_budget()) {
-    const double query_start = total_watch.elapsed();
-    bool degraded = false;
-    auto list = query_metadata(problem, input_bytes, size_hint,
-                               budgeted ? deadline.remaining() : 0.0, st.trace_id, &degraded);
-    const double query_dur = total_watch.elapsed() - query_start;
-    if (degraded && !st.degraded) {
-      st.degraded = true;
-      metrics::counter("client.degraded_calls_total").inc();
-    }
-    if (!list.ok()) {
-      const auto code = list.error().code;
-      if (budgeted && (code == ErrorCode::kNoServer ||
-                       code == ErrorCode::kAgentUnavailable || is_retryable(code))) {
-        retry_within_budget(list.error());
-        continue;
+    ListPtr list;
+    if (ticket != nullptr && attempts == 0) {
+      list = ticket->list;
+      st.leased = true;
+      leased_calls_total_.inc();
+    } else {
+      // Every leased candidate failed (which revoked the lease) or there
+      // never was a lease: ask the agent.
+      release_lease(ticket != nullptr);
+      const double query_start = total_watch.elapsed();
+      bool degraded = false;
+      auto queried =
+          query_metadata(handle, problem, input_bytes, size_hint,
+                         budgeted ? deadline.remaining() : 0.0, st.trace_id, &degraded, &ticket);
+      const double query_dur = total_watch.elapsed() - query_start;
+      if (degraded && !st.degraded) {
+        st.degraded = true;
+        metrics::counter("client.degraded_calls_total").inc();
       }
-      // If servers existed but all failed under us (we reported them and the
-      // agent blacklisted them), surface that as exhausted retries rather
-      // than a bare "no server" — the request did reach servers.
-      if (code == ErrorCode::kNoServer && attempts > 0) {
-        return fail(make_error(ErrorCode::kRetriesExhausted,
-                               "all servers failed; last: " + last_error.to_string()));
+      if (!queried.ok()) {
+        const auto code = queried.error().code;
+        if (budgeted && (code == ErrorCode::kNoServer ||
+                         code == ErrorCode::kAgentUnavailable || is_retryable(code))) {
+          retry_within_budget(queried.error());
+          continue;
+        }
+        // If servers existed but all failed under us (we reported them and
+        // the agent blacklisted them), surface that as exhausted retries
+        // rather than a bare "no server" — the request did reach servers.
+        if (code == ErrorCode::kNoServer && attempts > 0) {
+          return fail(make_error(ErrorCode::kRetriesExhausted,
+                                 "all servers failed; last: " + last_error.to_string()));
+        }
+        return fail(queried.error());
       }
-      return fail(list.error());
+      list = std::move(queried).value();
+      add_span("client.query", query_span_, query_start, query_dur);
+      // The scheduling decision happened inside the query round trip, right
+      // before the reply was sent; anchor it at the tail of the query span so
+      // span starts stay non-decreasing.
+      const double sched = std::clamp(list->schedule_seconds, 0.0, query_dur);
+      add_derived_span("agent.schedule", query_start + (query_dur - sched), sched);
     }
-    add_span("client.query", query_start, query_dur);
-    // The scheduling decision happened inside the query round trip, right
-    // before the reply was sent; anchor it at the tail of the query span so
-    // span starts stay non-decreasing.
-    const double sched = std::clamp(list.value().schedule_seconds, 0.0, query_dur);
-    add_derived_span("agent.schedule", query_start + (query_dur - sched), sched);
-    if (list.value().candidates.empty()) {
+    if (list->candidates.empty()) {
       if (budgeted) {
         retry_within_budget(
             make_error(ErrorCode::kNoServer, "agent returned no candidates for " + problem));
@@ -445,13 +552,13 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
           make_error(ErrorCode::kNoServer, "agent returned no candidates for " + problem));
     }
 
-    const auto& candidates = list.value().candidates;
+    const auto& candidates = list->candidates;
     std::size_t ci = 0;
     while (ci < candidates.size()) {
       if (out_of_budget()) break;
       const auto& candidate = candidates[ci];
       ++attempts;
-      metrics::counter("client.attempts_total").inc();
+      attempts_total_.inc();
       if (attempts > 1) metrics::counter("client.retries_total").inc();
 
       // Decorrelated-jitter backoff before every retry (never the first
@@ -550,7 +657,9 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
 
         if (!result.ok()) {
           // Transport-level failure: blacklist and move on.
-          add_span("client.attempt", attempt_start, total_watch.elapsed() - attempt_start);
+          release_lease(true);
+          add_span("client.attempt", attempt_span_, attempt_start,
+                   total_watch.elapsed() - attempt_start);
           NS_DEBUG("client") << "attempt on " << candidate.server_name
                              << " failed: " << result.error().to_string();
           last_error = result.error();
@@ -561,7 +670,8 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
 
         const auto code = static_cast<ErrorCode>(result.value().error_code);
         if (code != ErrorCode::kOk) {
-          add_span("client.attempt", attempt_start, io_seconds);
+          release_lease(true);
+          add_span("client.attempt", attempt_span_, attempt_start, io_seconds);
           if (code == ErrorCode::kMigrated && result.value().migrated_port != 0) {
             // The job is still running on the destination server (drain moved
             // it with its checkpoint): follow the forwarding address and wait
@@ -686,7 +796,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
               st.hedged = true;
               metrics::counter("client.hedge_total").inc();
               ++attempts;
-              metrics::counter("client.attempts_total").inc();
+              attempts_total_.inc();
               NS_DEBUG("client") << "hedging " << problem << " on "
                                  << candidates[ci + 1].server_name << " after "
                                  << hedge_delay << "s";
@@ -706,7 +816,9 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
         auto result = std::move(*done->result);
 
         if (!result.ok()) {
-          add_span("client.attempt", done->start, total_watch.elapsed() - done->start);
+          release_lease(true);
+          add_span("client.attempt", attempt_span_, done->start,
+                   total_watch.elapsed() - done->start);
           NS_DEBUG("client") << "attempt on " << done->candidate.server_name
                              << " failed: " << result.error().to_string();
           last_error = result.error();
@@ -723,7 +835,8 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
             return finish_success(done->candidate, std::move(result.value()),
                                   done->start, done->io_seconds);
           }
-          add_span("client.attempt", done->start, done->io_seconds);
+          release_lease(true);
+          add_span("client.attempt", attempt_span_, done->start, done->io_seconds);
           if (code == ErrorCode::kMigrated && result.value().migrated_port != 0) {
             // Same forwarding dance as the plain path; any racing sibling is
             // cancelled first (the migrated job already owns the answer).

@@ -8,6 +8,12 @@
 //                     probe()/wait() (netslpr/netslwt in the original).
 //   call(...)      -- MATLAB-style variadic convenience front end.
 //
+// Leases: when the agent answers a latency-bound query with a lease, the
+// client keeps the ranked list in a function handle per (problem, size class)
+// and the next calls on that handle skip the query, GridRPC-style, until the
+// lease runs out or a failure, overload, queued reply or agent failover
+// revokes it (DESIGN.md §19).
+//
 // Fault tolerance: a retryable failure (connection refused/reset, timeout,
 // corrupted frame, injected server failure) is reported to the agent (which
 // quarantines the server) and the next candidate is tried; the ranked list
@@ -83,6 +89,8 @@ struct ClientConfig {
   /// ranked list per problem is kept this long, and when ALL agents are
   /// unreachable, calls for cached problems go direct-to-server from it
   /// (counted in client.degraded_calls_total). 0 disables degraded mode.
+  /// The same cache holds the agent's leases (see NetSolveClient), whose
+  /// length the agent sets.
   double candidate_cache_ttl_s = 30.0;
 
   // ---- hedged requests (tail-latency armor) ----
@@ -144,6 +152,9 @@ struct CallStats {
   /// True when the candidate list came from the client's staleness-bounded
   /// cache because no agent was reachable (degraded mode).
   bool degraded = false;
+  /// True when the call reused a leased candidate list and skipped the agent
+  /// query (no client.query span then).
+  bool leased = false;
   /// True when a backup (hedge) attempt was launched for this call,
   /// whichever attempt ended up winning.
   bool hedged = false;
@@ -172,7 +183,14 @@ class NetSolveClient {
         client_id_(config_.client_id != 0 ? config_.client_id
                                           : (trace::new_trace_id() | 1)),
         backoff_rng_(config_.backoff_seed),
-        agent_health_(config_.agents.size()) {}
+        agent_health_(config_.agents.size()),
+        calls_total_(metrics::counter("client.calls_total")),
+        attempts_total_(metrics::counter("client.attempts_total")),
+        leased_calls_total_(metrics::counter("client.leased_calls_total")),
+        call_s_(metrics::histogram("client.call_s")),
+        query_span_(trace::span_histogram("client.query")),
+        attempt_span_(trace::span_histogram("client.attempt")),
+        result_transfer_span_(trace::span_histogram("client.result_transfer")) {}
 
   /// Waits for background workers (netsl_nb calls whose handles were
   /// dropped, losing hedge attempts, in-flight cancel posts): they reference
@@ -200,7 +218,9 @@ class NetSolveClient {
     return netsl(problem, args);
   }
 
-  /// Ask the agent for the ranked candidate list without executing.
+  /// Ask the agent for the ranked candidate list without executing. Always
+  /// a round trip, whatever lease the client holds; a lease in the reply is
+  /// kept for the next netsl on this problem and size.
   Result<proto::ServerList> query(const std::string& problem,
                                   const std::vector<dsl::DataObject>& args);
 
@@ -221,26 +241,56 @@ class NetSolveClient {
   struct AgentHealth {
     double down_until = 0.0;  // skip until this now_seconds() timestamp
   };
-  /// One problem's last good ranked list, kept for degraded-mode calls.
-  struct CachedCandidates {
-    proto::ServerList list;
+  using ListPtr = std::shared_ptr<const proto::ServerList>;
+
+  /// The agent's lease on a ranked list: calls reuse `list` without a query
+  /// until `expires_at`, while `calls_left` lasts and fewer than `slots`
+  /// calls are in flight on it. Guarded by cache_mu_.
+  struct Lease {
+    ListPtr list;
+    double expires_at = 0.0;
+    std::uint32_t calls_left = 0;
+    std::uint32_t slots = 0;
+    std::uint32_t in_flight = 0;
+  };
+  using LeasePtr = std::shared_ptr<Lease>;
+
+  /// A bound function handle: one (problem, size class)'s last good ranked
+  /// list, kept for degraded-mode calls, and the lease on it, if any.
+  /// Entries are never erased, so references stay valid.
+  struct FunctionHandle {
+    explicit FunctionHandle(const std::string& problem);
+    /// client.problem.<name>.attempt_s, resolved once.
+    metrics::Histogram& attempt_s;
+    ListPtr list;  // guarded by cache_mu_
     double stored_at = 0.0;
+    LeasePtr lease;  // null: the next call queries
   };
 
+  FunctionHandle& function_handle(const std::string& problem, std::uint64_t input_bytes);
+  /// Claim one call on `handle`'s lease (its list then needs no query).
+  /// Returns null, dropping the lease, once it expired, spent its budget or
+  /// has every slot in flight.
+  LeasePtr take_lease(FunctionHandle& handle);
+  /// The call holding `lease` ended; `revoke` drops the lease too.
+  void end_lease_call(FunctionHandle& handle, const LeasePtr& lease, bool revoke);
+  void revoke_all_leases();
+
   /// `timeout_cap` > 0 additionally clamps the IO timeout (deadline budget).
-  /// On total agent outage the cache may answer instead; `*degraded` is set
-  /// true in that case.
-  Result<proto::ServerList> query_metadata(const std::string& problem,
-                                           std::uint64_t input_bytes, std::uint64_t size_hint,
-                                           double timeout_cap = 0.0,
-                                           trace::TraceId trace_id = trace::kNoTrace,
-                                           bool* degraded = nullptr);
+  /// The reply is stored in `handle`. A granted lease is claimed for the
+  /// calling netsl when `ticket` is non-null. On total agent outage the
+  /// cache may answer instead; `*degraded` is set true in that case.
+  Result<ListPtr> query_metadata(FunctionHandle& handle, const std::string& problem,
+                                 std::uint64_t input_bytes, std::uint64_t size_hint,
+                                 double timeout_cap = 0.0,
+                                 trace::TraceId trace_id = trace::kNoTrace,
+                                 bool* degraded = nullptr, LeasePtr* ticket = nullptr);
   /// One attempt against one server; transport-level failures are retryable.
   Result<proto::SolveResult> attempt(const proto::ServerCandidate& candidate,
                                      const proto::SolveRequest& request, double* io_seconds);
   /// The hedge delay for one call: the per-problem attempt-latency quantile
   /// once enough samples exist, else the configured static delay. 0 = off.
-  double hedge_delay_for(const std::string& problem) const;
+  double hedge_delay_for(const metrics::Histogram& attempt_s) const;
   /// Fire-and-forget CANCEL for `request_id` at `peer`, on a background
   /// thread so the winning call's return path never blocks on the loser.
   void post_cancel_async(const net::Endpoint& peer, std::uint64_t request_id);
@@ -283,8 +333,19 @@ class NetSolveClient {
   std::condition_variable bg_cv_;
   int bg_outstanding_ = 0;
 
+  // Per-call instruments, resolved once: a registry lookup takes the
+  // process-global mutex and a string search.
+  metrics::Counter& calls_total_;
+  metrics::Counter& attempts_total_;
+  metrics::Counter& leased_calls_total_;
+  metrics::Histogram& call_s_;
+  metrics::Histogram& query_span_;
+  metrics::Histogram& attempt_span_;
+  metrics::Histogram& result_transfer_span_;
+
+  /// Function handles by (problem, size class).
   std::mutex cache_mu_;
-  std::map<std::string, CachedCandidates> candidate_cache_;
+  std::map<std::pair<std::string, int>, FunctionHandle> handles_;
 };
 
 /// Future-like handle for non-blocking calls (netslpr/netslwt).

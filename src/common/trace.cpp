@@ -30,9 +30,18 @@ std::string trace_id_hex(TraceId id) {
 }
 
 void record_span(TraceId id, std::string_view name, double start_s, double duration_s) {
+  record_span(id, name, span_histogram(name), start_s, duration_s);
+}
+
+metrics::Histogram& span_histogram(std::string_view name) {
+  return metrics::histogram("span." + std::string(name) + "_s");
+}
+
+void record_span(TraceId id, std::string_view name, metrics::Histogram& hist, double start_s,
+                 double duration_s) {
   NS_DEBUG("trace") << "trace=" << trace_id_hex(id) << " span=" << name
                     << " start_ms=" << start_s * 1e3 << " dur_ms=" << duration_s * 1e3;
-  metrics::histogram("span." + std::string(name) + "_s").observe(duration_s);
+  hist.observe(duration_s);
 }
 
 }  // namespace ns::trace

@@ -18,6 +18,10 @@
 #include <string_view>
 #include <vector>
 
+namespace ns::metrics {
+class Histogram;
+}  // namespace ns::metrics
+
 namespace ns::trace {
 
 using TraceId = std::uint64_t;
@@ -40,5 +44,14 @@ struct Span {
 /// Log the span (debug level, tag "trace") and aggregate its duration into
 /// the metrics registry histogram "span.<name>_s".
 void record_span(TraceId id, std::string_view name, double start_s, double duration_s);
+
+/// The registry histogram record_span() folds `name` into. Per-call paths
+/// resolve it once and use the overload below, which skips the registry's
+/// mutex and by-name lookup.
+metrics::Histogram& span_histogram(std::string_view name);
+
+/// record_span() into `hist`, which must be span_histogram(name).
+void record_span(TraceId id, std::string_view name, metrics::Histogram& hist, double start_s,
+                 double duration_s);
 
 }  // namespace ns::trace

@@ -150,6 +150,7 @@ void Query::encode(serial::Encoder& enc) const {
   enc.put_u64(size_hint);
   enc.put_u32(max_candidates);
   enc.put_u64(trace_id);
+  if (client_id != 0) enc.put_u64(client_id);
 }
 
 Result<Query> Query::decode(serial::Decoder& dec) {
@@ -172,6 +173,11 @@ Result<Query> Query::decode(serial::Decoder& dec) {
   auto trace = dec.get_u64();
   if (!trace.ok()) return trace.error();
   msg.trace_id = trace.value();
+  // client_id is a trailing addition; queries from older clients end here.
+  if (dec.exhausted()) return msg;
+  auto client = dec.get_u64();
+  if (!client.ok()) return client.error();
+  msg.client_id = client.value();
   return msg;
 }
 
@@ -203,6 +209,10 @@ void ServerList::encode(serial::Encoder& enc) const {
   enc.put_u32(static_cast<std::uint32_t>(candidates.size()));
   for (const auto& c : candidates) c.encode(enc);
   enc.put_f64(schedule_seconds);
+  if (!has_lease()) return;
+  enc.put_f64(lease_seconds);
+  enc.put_u32(lease_calls);
+  enc.put_u32(lease_slots);
 }
 
 Result<ServerList> ServerList::decode(serial::Decoder& dec) {
@@ -221,6 +231,18 @@ Result<ServerList> ServerList::decode(serial::Decoder& dec) {
   auto sched = dec.get_f64();
   if (!sched.ok()) return sched.error();
   msg.schedule_seconds = sched.value();
+  // The lease is a trailing addition: a list from a pre-lease agent (or a
+  // lease-less one) ends here and means "ask again next call".
+  if (dec.exhausted()) return msg;
+  auto lease_s = dec.get_f64();
+  if (!lease_s.ok()) return lease_s.error();
+  msg.lease_seconds = lease_s.value();
+  auto calls = dec.get_u32();
+  if (!calls.ok()) return calls.error();
+  msg.lease_calls = calls.value();
+  auto slots = dec.get_u32();
+  if (!slots.ok()) return slots.error();
+  msg.lease_slots = slots.value();
   return msg;
 }
 

@@ -142,6 +142,10 @@ struct Query {
   /// Trace id of the client call this query schedules for (0 = untraced);
   /// the agent tags its scheduling-decision span with it.
   std::uint64_t trace_id = 0;
+  /// The asking client (SolveRequest::client_id), so the agent claims a
+  /// server's free slot once per leasing client, not once per leased list.
+  /// Trailing-optional, written only when set: 0 = anonymous.
+  std::uint64_t client_id = 0;
 
   void encode(serial::Encoder& enc) const;
   static Result<Query> decode(serial::Decoder& dec);
@@ -163,6 +167,19 @@ struct ServerList {
   /// of the request trace, measured where it happens and carried back so
   /// the client can place it inside its query span.
   double schedule_seconds = 0.0;
+  /// Lease on the ranked list (the bound function handle): the client may
+  /// reuse `candidates` without asking again for up to `lease_seconds`,
+  /// `lease_calls` calls, with at most `lease_slots` of them in flight at
+  /// once. A trailing-optional group, written only when a lease is granted,
+  /// so a lease-less list keeps its pre-lease bytes and an older agent's
+  /// reply decodes as "no lease".
+  double lease_seconds = 0.0;
+  std::uint32_t lease_calls = 0;
+  std::uint32_t lease_slots = 0;
+
+  bool has_lease() const noexcept {
+    return lease_seconds > 0.0 && lease_calls > 0 && lease_slots > 0;
+  }
 
   void encode(serial::Encoder& enc) const;
   static Result<ServerList> decode(serial::Decoder& dec);

@@ -15,6 +15,7 @@ agent::AgentConfig TestCluster::agent_config_for(std::size_t i) const {
   ac.registry = config_.registry;
   ac.ping_period_s = config_.ping_period_s;
   ac.count_pending = config_.count_pending;
+  ac.lease_s = config_.lease_s;
   ac.guard = config_.agent_guard;
   if (config_.agent_count > 1) {
     ac.sync_period_s = config_.agent_sync_period_s;

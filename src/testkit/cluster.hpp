@@ -90,6 +90,8 @@ struct ClusterConfig {
   double ping_period_s = 0.0;
   /// Predictor counts unreported assignments (the E9 ablation toggle).
   bool count_pending = true;
+  /// Agent lease length on ranked lists (AgentConfig::lease_s; 0 = off).
+  double lease_s = 0.1;
   /// Default shaping for clients created via make_client().
   net::LinkShape client_link;
   double io_timeout_s = 30.0;

@@ -22,7 +22,9 @@ serial::Bytes encode_one(const DataObject& obj) {
 Result<DataObject> decode_one(const serial::Bytes& bytes) {
   serial::Decoder dec(bytes);
   auto obj = DataObject::decode(dec);
-  if (obj.ok()) EXPECT_TRUE(dec.expect_exhausted().ok());
+  if (obj.ok()) {
+    EXPECT_TRUE(dec.expect_exhausted().ok());
+  }
   return obj;
 }
 

@@ -464,7 +464,9 @@ TEST_P(EigenPropertyTest, ResidualAndOrthogonality) {
     // SPD: all eigenvalues positive.
     EXPECT_GT(values[j], 0.0);
     // Ascending order.
-    if (j > 0) EXPECT_LE(values[j - 1], values[j] + 1e-12);
+    if (j > 0) {
+      EXPECT_LE(values[j - 1], values[j] + 1e-12);
+    }
   }
   // Trace equals eigenvalue sum.
   double trace = 0, sum = 0;

@@ -5,6 +5,7 @@
 
 #include "common/rng.hpp"
 #include "proto/messages.hpp"
+#include "testkit/cluster.hpp"
 
 namespace ns::proto {
 namespace {
@@ -102,6 +103,121 @@ TEST(ProtoTest, ServerListRoundTrip) {
   ASSERT_EQ(back.candidates.size(), 3u);
   EXPECT_EQ(back.candidates[2].server_name, "s2");
   EXPECT_DOUBLE_EQ(back.candidates[2].predicted_seconds, 1.0);
+}
+
+// ---- leases: trailing-optional fields on ServerList and Query ----
+
+// A one-candidate ServerList as a pre-lease agent encodes it.
+const serial::Bytes kPreLeaseServerList = {
+    0x01, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x73, 0x37,
+    0x09, 0x00, 0x00, 0x00, 0x31, 0x32, 0x37, 0x2e, 0x30, 0x2e, 0x30, 0x2e, 0x31, 0x2f,
+    0x23, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xe0, 0x3f};
+
+// A Query as a client that predates client_id encodes it.
+const serial::Bytes kPreLeaseQuery = {
+    0x04, 0x00, 0x00, 0x00, 0x64, 0x64, 0x6f, 0x74, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x22, 0x11, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00};
+
+ServerList pinned_server_list() {
+  ServerList msg;
+  ServerCandidate c;
+  c.server_id = 7;
+  c.server_name = "s7";
+  c.endpoint = {"127.0.0.1", 9007};
+  c.predicted_seconds = 0.25;
+  msg.candidates = {c};
+  msg.schedule_seconds = 0.5;
+  return msg;
+}
+
+Query pinned_query() {
+  Query msg;
+  msg.problem = "ddot";
+  msg.input_bytes = 1024;
+  msg.output_bytes = 1024;
+  msg.size_hint = 64;
+  msg.max_candidates = 8;
+  msg.trace_id = 0x1122;
+  return msg;
+}
+
+TEST(ProtoTest, ServerListLeaseRoundTrip) {
+  ServerList msg = pinned_server_list();
+  msg.lease_seconds = 0.1;
+  msg.lease_calls = 500;
+  msg.lease_slots = 1;
+  const auto back = round_trip(msg);
+  ASSERT_TRUE(back.has_lease());
+  EXPECT_DOUBLE_EQ(back.lease_seconds, 0.1);
+  EXPECT_EQ(back.lease_calls, 500u);
+  EXPECT_EQ(back.lease_slots, 1u);
+  ASSERT_EQ(back.candidates.size(), 1u);
+  EXPECT_EQ(back.candidates[0].server_name, "s7");
+}
+
+TEST(ProtoTest, LeaselessServerListKeepsPreLeaseBytes) {
+  EXPECT_EQ(encode_payload(pinned_server_list()), kPreLeaseServerList);
+  const auto back = round_trip(pinned_server_list());
+  EXPECT_FALSE(back.has_lease());
+}
+
+TEST(ProtoTest, PreLeaseServerListDecodesAsNoLease) {
+  serial::Decoder dec(kPreLeaseServerList);
+  auto back = ServerList::decode(dec);
+  ASSERT_TRUE(back.ok()) << back.error().to_string();
+  EXPECT_TRUE(dec.expect_exhausted().ok());
+  EXPECT_FALSE(back.value().has_lease());
+  EXPECT_EQ(back.value().lease_seconds, 0.0);
+  EXPECT_EQ(back.value().lease_calls, 0u);
+  EXPECT_EQ(back.value().lease_slots, 0u);
+  EXPECT_DOUBLE_EQ(back.value().schedule_seconds, 0.5);
+}
+
+TEST(ProtoTest, TruncatedLeaseFieldsFailCleanly) {
+  serial::Bytes bytes = kPreLeaseServerList;
+  bytes.insert(bytes.end(), {0x00, 0x00, 0x00, 0x00});  // half a lease_seconds
+  serial::Decoder dec(bytes);
+  EXPECT_FALSE(ServerList::decode(dec).ok());
+}
+
+TEST(ProtoTest, QueryClientIdIsTrailingOptional) {
+  EXPECT_EQ(encode_payload(pinned_query()), kPreLeaseQuery);
+  serial::Decoder dec(kPreLeaseQuery);
+  auto old = Query::decode(dec);
+  ASSERT_TRUE(old.ok()) << old.error().to_string();
+  EXPECT_EQ(old.value().client_id, 0u);
+  EXPECT_EQ(old.value().trace_id, 0x1122u);
+
+  Query msg = pinned_query();
+  msg.client_id = 0xc11e47ull;
+  EXPECT_EQ(round_trip(msg).client_id, 0xc11e47ull);
+}
+
+// An agent with leases off answers with exactly the pre-lease bytes (pinned
+// above), so this is a leasing client against a pre-lease agent: every call
+// still works, and every call asks.
+TEST(ProtoCompatTest, LeasingClientWorksWithLeaselessAgent) {
+  testkit::ClusterConfig config;
+  config.servers = testkit::uniform_pool(2);
+  config.rating_base = 500.0;
+  config.lease_s = 0.0;
+  auto cluster = testkit::TestCluster::start(std::move(config));
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  auto client = cluster.value()->make_client();
+  const auto before = cluster.value()->agent().stats().queries;
+  for (int i = 0; i < 10; ++i) {
+    client::CallStats stats;
+    auto out = client.netsl("ddot", {dsl::DataObject(linalg::Vector(64, 1.0)),
+                                     dsl::DataObject(linalg::Vector(64, 2.0))},
+                            &stats);
+    ASSERT_TRUE(out.ok()) << out.error().to_string();
+    EXPECT_DOUBLE_EQ(out.value().at(0).as_double(), 128.0);
+    EXPECT_FALSE(stats.leased);
+  }
+  EXPECT_EQ(cluster.value()->agent().stats().queries, before + 10);
 }
 
 TEST(ProtoTest, SolveRequestRoundTrip) {
