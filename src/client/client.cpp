@@ -1,9 +1,11 @@
 #include "client/client.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <optional>
 
@@ -50,6 +52,43 @@ std::uint64_t request_size_hint(const std::vector<dsl::DataObject>& args) {
 /// nothing about 2 MB ones. A class spans a factor of 4 in input bytes.
 int size_class(std::uint64_t input_bytes) {
   return static_cast<int>(std::bit_width(input_bytes) / 2);
+}
+
+constexpr auto kSolveResultType = static_cast<std::uint16_t>(MessageType::kSolveResult);
+
+/// The replies of one race in netsl's candidate loop, handed over by mux
+/// completions: slot 0 is the attempt on the ranked candidate, slot 1 its
+/// hedge. A completion captures only this, never the client or a channel, so
+/// a call may return, and its client go away, while a loser's reply is due.
+struct Race {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::array<std::optional<Result<net::Message>>, 2> replies;
+};
+
+/// The SolveResult in an attempt's reply, or the error that ended it. Runs
+/// on the calling thread, never the channel's reader.
+Result<proto::SolveResult> decode_solve_result(Result<net::Message> reply,
+                                               std::uint64_t request_id) {
+  if (!reply.ok()) return reply.error();
+  serial::Decoder dec(reply.value().payload);
+  auto result = proto::SolveResult::decode(dec);
+  if (!result.ok()) return result.error();
+  if (result.value().request_id != request_id) {
+    return make_error(ErrorCode::kProtocol, "response id mismatch");
+  }
+  return result;
+}
+
+/// Stop a race's loser: a CANCEL posted on its own channel with no waiter,
+/// so the winner's return never waits on it. The server's CancelAck finds no
+/// waiter and is read whole and dropped.
+void post_cancel(net::MuxChannel& channel, std::uint64_t request_id) {
+  proto::CancelRequest cancel;
+  cancel.request_id = request_id;
+  channel.start(static_cast<std::uint16_t>(MessageType::kCancelRequest),
+                encode_payload(cancel), static_cast<std::uint16_t>(MessageType::kCancelAck),
+                request_id, net::LinkShape::unshaped(), {});
 }
 
 }  // namespace
@@ -254,39 +293,6 @@ Result<proto::ServerList> NetSolveClient::query(const std::string& problem,
   return *list.value();
 }
 
-Result<proto::SolveResult> NetSolveClient::attempt(const proto::ServerCandidate& candidate,
-                                                   const proto::SolveRequest& request,
-                                                   double* io_seconds) {
-  const Stopwatch watch;
-  // A live deadline budget caps every wait: there is no point blocking past
-  // the moment the caller stops caring about the answer.
-  const double timeout = request.deadline_s > 0.0
-                             ? std::min(config_.io_timeout_s, request.deadline_s)
-                             : config_.io_timeout_s;
-  // Every attempt against this server shares one socket; the reply is
-  // demultiplexed by request id, so concurrent netsl_nb calls and hedges
-  // interleave instead of dialing a connection each.
-  auto channel =
-      net::ConnectionPool::instance().channel(candidate.endpoint, std::min(2.0, timeout));
-  if (!channel.ok()) return channel.error();
-  auto reply = channel.value()->call(static_cast<std::uint16_t>(MessageType::kSolveRequest),
-                                     encode_payload(request),
-                                     static_cast<std::uint16_t>(MessageType::kSolveResult),
-                                     request.request_id, timeout, config_.link);
-  if (!reply.ok()) return reply.error();
-  if (io_seconds != nullptr) *io_seconds = watch.elapsed();
-  if (reply.value().type != static_cast<std::uint16_t>(MessageType::kSolveResult)) {
-    return make_error(ErrorCode::kProtocol, "expected SolveResult from server");
-  }
-  serial::Decoder dec(reply.value().payload);
-  auto result = proto::SolveResult::decode(dec);
-  if (!result.ok()) return result.error();
-  if (result.value().request_id != request.request_id) {
-    return make_error(ErrorCode::kProtocol, "response id mismatch");
-  }
-  return result;
-}
-
 void NetSolveClient::report_failure(proto::ServerId id, ErrorCode code) {
   if (!config_.report_failures) return;
   proto::FailureReport report;
@@ -317,26 +323,6 @@ double NetSolveClient::hedge_delay_for(const metrics::Histogram& attempt_s) cons
   if (attempt_s.count() < config_.hedge_min_samples) return config_.hedge_delay_s;
   const double q = attempt_s.percentile(config_.hedge_quantile);
   return q > 0.0 ? q : config_.hedge_delay_s;
-}
-
-void NetSolveClient::post_cancel_async(const net::Endpoint& peer, std::uint64_t request_id) {
-  begin_background();
-  std::thread([this, peer, request_id] {
-    proto::CancelRequest cancel;
-    cancel.request_id = request_id;
-    // The server acks every CANCEL, so fire-and-forget over a pooled lease
-    // would leave the ack in the stream for the next leaseholder. Ride the
-    // mux channel instead: the ack demultiplexes by request id, and this
-    // thread exists precisely so waiting costs the caller nothing.
-    auto channel = net::ConnectionPool::instance().channel(peer, /*dial_timeout_s=*/1.0);
-    if (channel.ok()) {
-      (void)channel.value()->call(
-          static_cast<std::uint16_t>(MessageType::kCancelRequest), encode_payload(cancel),
-          static_cast<std::uint16_t>(MessageType::kCancelAck), request_id,
-          /*timeout_s=*/2.0);
-    }
-    end_background();  // last touch of the client
-  }).detach();
 }
 
 void NetSolveClient::begin_background() {
@@ -380,7 +366,6 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
   proto::SolveRequest request;
   request.request_id = next_request_id_.fetch_add(1);
   request.problem = problem;
-  request.args = args;
   request.trace_id = st.trace_id;
   request.client_id = client_id_;
   request.require_durable = config_.require_durable;
@@ -430,7 +415,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
     return err;
   };
 
-  // Success path shared by the plain and hedged attempts.
+  // Success path of every attempt, whichever slot of its race it held.
   const auto finish_success = [&](const proto::ServerCandidate& cand,
                                   proto::SolveResult&& result, double attempt_start,
                                   double io_seconds) {
@@ -556,7 +541,6 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
     std::size_t ci = 0;
     while (ci < candidates.size()) {
       if (out_of_budget()) break;
-      const auto& candidate = candidates[ci];
       ++attempts;
       attempts_total_.inc();
       if (attempts > 1) metrics::counter("client.retries_total").inc();
@@ -584,46 +568,167 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
         }
         if (budgeted && deadline.expired()) break;
       }
-      request.deadline_s = budgeted ? deadline.remaining() : 0.0;
 
-      if (hedge_delay <= 0.0 || ci + 1 >= candidates.size()) {
-        // ---- plain attempt (hedging off, or no backup candidate) ----
-        ++ci;
-        const double attempt_start = total_watch.elapsed();
-        double io_seconds = 0.0;
-        auto result = attempt(candidate, request, &io_seconds);
+      // ---- one race: the ranked candidate, and a hedge on the next one ----
+      //
+      // When the first attempt is still outstanding after the hedge delay, a
+      // backup races it on the next-ranked candidate; with hedging off or no
+      // backup candidate the race has one attempt. The first success wins
+      // and the loser is cancelled. Every finished attempt goes through the
+      // one outcome handler below; a failed one is a retry, never a race.
+      struct Attempt {
+        const proto::ServerCandidate* candidate = nullptr;
+        double start = 0.0;          // since call entry
+        double due = 0.0;            // now_seconds() at which it times out
+        net::MuxChannelPtr channel;  // null when the dial failed
+        bool open = false;           // launched, outcome not yet handled
+      };
+      std::array<Attempt, 2> tries;
+      const auto race = std::make_shared<Race>();
+      const std::size_t width = hedge_delay > 0.0 && ci + 1 < candidates.size() ? 2 : 1;
+      std::size_t launched = 0;
+      double hedge_at = 0.0;
+      const auto racing = [&] { return tries[0].open || tries[1].open; };
 
-        if (!result.ok() && config_.reattach_s > 0.0 &&
+      const auto launch = [&] {
+        const std::size_t slot = launched++;
+        Attempt& a = tries[slot];
+        a.candidate = &candidates[ci + slot];
+        a.start = total_watch.elapsed();
+        a.open = true;
+        request.deadline_s = budgeted ? deadline.remaining() : 0.0;
+        // A live deadline budget caps every wait: there is no point blocking
+        // past the moment the caller stops caring about the answer.
+        const double timeout = request.deadline_s > 0.0
+                                   ? std::min(config_.io_timeout_s, request.deadline_s)
+                                   : config_.io_timeout_s;
+        net::MuxChannel::Completion done = [race, slot](Result<net::Message> reply) {
+          std::lock_guard<std::mutex> lock(race->mu);
+          race->replies[slot].emplace(std::move(reply));
+          race->cv.notify_all();
+        };
+        // Every attempt against this server shares one socket; the reply is
+        // demultiplexed by request id, so concurrent calls and hedges
+        // interleave instead of dialing a connection each.
+        auto channel = net::ConnectionPool::instance().channel(a.candidate->endpoint,
+                                                               std::min(2.0, timeout));
+        if (!channel.ok()) return done(channel.error());
+        a.channel = std::move(channel).value();
+        a.due = now_seconds() + timeout;
+        serial::Encoder enc;
+        request.encode(enc, args);
+        a.channel->start(static_cast<std::uint16_t>(MessageType::kSolveRequest), enc.take(),
+                         kSolveResultType, request.request_id, config_.link, std::move(done));
+      };
+
+      // The race is decided: cancel every attempt still in flight. A loser
+      // whose reply already landed needs no cancel.
+      const auto cancel_losers = [&] {
+        for (Attempt& a : tries) {
+          if (!a.open) continue;
+          a.open = false;
+          if (a.channel && a.channel->abandon(request.request_id, kSolveResultType)) {
+            metrics::counter("client.cancel_sent_total").inc();
+            post_cancel(*a.channel, request.request_id);
+          }
+        }
+      };
+
+      // The next finished attempt of the race. The hedge fires from this
+      // wait when its delay runs out first, and an attempt past its IO
+      // timeout is abandoned and finishes as kTimeout.
+      const auto next_outcome = [&]() -> std::pair<std::size_t, Result<net::Message>> {
+        constexpr double kNever = std::numeric_limits<double>::infinity();
+        const auto landed = [&] {
+          for (std::size_t i = 0; i < launched; ++i) {
+            if (tries[i].open && race->replies[i].has_value()) return true;
+          }
+          return false;
+        };
+        std::unique_lock<std::mutex> lock(race->mu);
+        for (;;) {
+          double wake = launched < width ? hedge_at : kNever;
+          for (std::size_t i = 0; i < launched; ++i) {
+            if (tries[i].open) wake = std::min(wake, tries[i].due);
+          }
+          if (wake == kNever) {
+            race->cv.wait(lock, landed);
+          } else {
+            race->cv.wait_for(lock, std::chrono::duration<double>(wake - now_seconds()), landed);
+          }
+          for (std::size_t i = 0; i < launched; ++i) {
+            if (tries[i].open && race->replies[i].has_value()) {
+              tries[i].open = false;
+              return {i, std::move(*race->replies[i])};
+            }
+          }
+          // Unlocked: launch() completes inline on a failed dial or send.
+          lock.unlock();
+          const double now = now_seconds();
+          if (launched < width && now >= hedge_at) {
+            st.hedged = true;
+            metrics::counter("client.hedge_total").inc();
+            ++attempts;
+            attempts_total_.inc();
+            NS_DEBUG("client") << "hedging " << problem << " on "
+                               << candidates[ci + 1].server_name << " after " << hedge_delay
+                               << "s";
+            launch();
+          }
+          for (std::size_t i = 0; i < launched; ++i) {
+            Attempt& a = tries[i];
+            if (!a.open || a.channel == nullptr || now < a.due) continue;
+            if (a.channel->abandon(request.request_id, kSolveResultType)) {
+              // The reply may still arrive; the reader drops it whole, so the
+              // stream stays framed and the channel stays usable.
+              a.open = false;
+              return {i, make_error(ErrorCode::kTimeout, "mux call timed out")};
+            }
+            a.due = kNever;  // the reply is being handed over
+          }
+          lock.lock();
+        }
+      };
+
+      launch();
+      hedge_at = now_seconds() + hedge_delay;
+      while (racing()) {
+        auto [slot, reply] = next_outcome();
+        const Attempt& done = tries[slot];
+        const proto::ServerCandidate& cand = *done.candidate;
+        double io_seconds = total_watch.elapsed() - done.start;
+        auto result = decode_solve_result(std::move(reply), request.request_id);
+
+        if (!result.ok() && !racing() && config_.reattach_s > 0.0 &&
             result.error().code != ErrorCode::kConnectFailed) {
           // The transport died after the request went out, so the server may
           // have admitted (and journaled) the job before crashing. Poll its
           // durable state instead of resubmitting: a restarted server
           // recovers the job from its write-ahead log and finishes the
-          // original submission, sparing a duplicate solve.
+          // original submission, sparing a duplicate solve. Skipped while a
+          // sibling still races: it may win yet.
           metrics::counter("client.reattach_total").inc();
           const double reattach_budget =
               budgeted ? std::min(config_.reattach_s, deadline.remaining())
                        : config_.reattach_s;
           NS_DEBUG("client") << "transport lost mid-call; reattaching to "
-                             << candidate.server_name << " for request "
-                             << request.request_id;
-          auto recovered = wait_for_job(candidate.endpoint, request.request_id,
-                                        reattach_budget);
+                             << cand.server_name << " for request " << request.request_id;
+          auto recovered = wait_for_job(cand.endpoint, request.request_id, reattach_budget);
           if (recovered.ok()) {
             metrics::counter("client.reattach_success_total").inc();
-            io_seconds = total_watch.elapsed() - attempt_start;
+            io_seconds = total_watch.elapsed() - done.start;
             result = std::move(recovered);
           }
         }
 
-        if (!result.ok() && config_.checkpoint_failover) {
+        if (!result.ok() && !racing() && config_.checkpoint_failover) {
           // The server is gone for good (reattach exhausted, or the dial
           // itself was refused). If it was replicating checkpoints, one of
           // the other ranked candidates may hold the job's latest snapshot:
           // ask each to adopt it. The adopter resumes mid-iteration, so the
           // work done before the crash is not recomputed from zero.
           for (const auto& peer : candidates) {
-            if (peer.server_id == candidate.server_id) continue;
+            if (peer.server_id == cand.server_id) continue;
             proto::CheckpointFetch fetch;
             fetch.request_id = request.request_id;
             fetch.adopt = true;
@@ -645,10 +750,9 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
                                << fr.value().iteration << "; waiting there";
             const double follow_budget =
                 budgeted ? deadline.remaining() : config_.io_timeout_s;
-            auto followed =
-                wait_for_job(peer.endpoint, request.request_id, follow_budget);
+            auto followed = wait_for_job(peer.endpoint, request.request_id, follow_budget);
             if (followed.ok()) {
-              io_seconds = total_watch.elapsed() - attempt_start;
+              io_seconds = total_watch.elapsed() - done.start;
               result = std::move(followed);
             }
             break;  // adopt-once: no other peer still holds the entry
@@ -658,233 +762,68 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
         if (!result.ok()) {
           // Transport-level failure: blacklist and move on.
           release_lease(true);
-          add_span("client.attempt", attempt_span_, attempt_start,
-                   total_watch.elapsed() - attempt_start);
-          NS_DEBUG("client") << "attempt on " << candidate.server_name
+          add_span("client.attempt", attempt_span_, done.start,
+                   total_watch.elapsed() - done.start);
+          NS_DEBUG("client") << "attempt on " << cand.server_name
                              << " failed: " << result.error().to_string();
           last_error = result.error();
-          report_failure(candidate.server_id, result.error().code);
-          if (!is_retryable(result.error().code)) return fail(result.error());
-          continue;
-        }
-
-        const auto code = static_cast<ErrorCode>(result.value().error_code);
-        if (code != ErrorCode::kOk) {
-          release_lease(true);
-          add_span("client.attempt", attempt_span_, attempt_start, io_seconds);
-          if (code == ErrorCode::kMigrated && result.value().migrated_port != 0) {
-            // The job is still running on the destination server (drain moved
-            // it with its checkpoint): follow the forwarding address and wait
-            // there rather than starting a duplicate solve elsewhere.
-            const net::Endpoint dest{result.value().migrated_host,
-                                     result.value().migrated_port};
-            metrics::counter("client.migrations_followed_total").inc();
-            NS_DEBUG("client") << "request " << request.request_id << " migrated to "
-                               << dest.host << ":" << dest.port << "; following";
-            const double follow_budget =
-                budgeted ? deadline.remaining() : config_.io_timeout_s;
-            auto followed = wait_for_job(dest, request.request_id, follow_budget);
-            if (followed.ok() &&
-                static_cast<ErrorCode>(followed.value().error_code) == ErrorCode::kOk) {
-              return finish_success(candidate, std::move(followed.value()), attempt_start,
-                                    total_watch.elapsed() - attempt_start);
-            }
-            // Dead end (destination unreachable or the job failed there too).
-            // The solve is idempotent, so falling back to a fresh attempt on
-            // the next candidate is safe.
-            last_error = make_error(ErrorCode::kMigrated,
-                                    "migration follow failed for request " +
-                                        std::to_string(request.request_id));
-            continue;
-          }
-          Error err = make_error(code, result.value().error_message);
-          if (is_retryable(code)) {
-            NS_DEBUG("client") << "server " << candidate.server_name
-                               << " replied failure: " << err.to_string();
-            pending_retry_after =
-                std::max(pending_retry_after, result.value().retry_after_s);
-            last_error = std::move(err);
-            // An overload rejection is an admission decision by a healthy
-            // server, not a fault: reporting it would quarantine the very
-            // pool that is asking us to back off. The agent learns about the
-            // pressure from the server's own workload reports instead.
-            if (code != ErrorCode::kServerOverloaded) {
-              report_failure(candidate.server_id, code);
-            }
-            continue;
-          }
-          return fail(std::move(err));  // the request itself is bad; retrying cannot help
-        }
-        return finish_success(candidate, std::move(result.value()), attempt_start,
-                              io_seconds);
-      }
-
-      // ---- hedged race ----
-      //
-      // Launch the primary now; if it is still outstanding after the hedge
-      // delay, race a backup on the next-ranked candidate. First result
-      // wins; the loser is actively cancelled (fire-and-forget CANCEL) so
-      // it stops burning a remote worker slot. Losing attempts never touch
-      // the retry bookkeeping — they are discarded, not failures.
-      struct Slot {
-        proto::ServerCandidate candidate;
-        double start = 0.0;
-        double io_seconds = 0.0;
-        std::optional<Result<proto::SolveResult>> result;
-        bool processed = false;
-      };
-      struct Race {
-        std::mutex mu;
-        std::condition_variable cv;
-      };
-      auto race = std::make_shared<Race>();
-      std::vector<std::shared_ptr<Slot>> slots;
-
-      const auto launch = [&](const proto::ServerCandidate& cand) {
-        auto slot = std::make_shared<Slot>();
-        slot->candidate = cand;
-        slot->start = total_watch.elapsed();
-        slots.push_back(slot);
-        proto::SolveRequest req = request;
-        req.deadline_s = budgeted ? deadline.remaining() : 0.0;
-        begin_background();
-        std::thread([this, race, slot, req = std::move(req)] {
-          double io = 0.0;
-          auto r = attempt(slot->candidate, req, &io);
-          {
-            std::lock_guard<std::mutex> lock(race->mu);
-            slot->io_seconds = io;
-            slot->result.emplace(std::move(r));
-          }
-          race->cv.notify_all();
-          end_background();  // last touch of the client
-        }).detach();
-      };
-      // Cancel every slot still in flight (the winner is already out).
-      const auto cancel_losers = [&] {
-        std::lock_guard<std::mutex> lock(race->mu);
-        for (const auto& s : slots) {
-          if (s->result.has_value()) continue;
-          metrics::counter("client.cancel_sent_total").inc();
-          post_cancel_async(s->candidate.endpoint, request.request_id);
-        }
-      };
-
-      launch(candidate);
-      bool hedge_launched = false;
-      const Deadline hedge_at(hedge_delay);
-      std::size_t consumed = 1;
-
-      for (;;) {
-        std::shared_ptr<Slot> done;
-        {
-          std::unique_lock<std::mutex> lock(race->mu);
-          const auto next_done = [&]() -> std::shared_ptr<Slot> {
-            for (const auto& s : slots) {
-              if (s->result.has_value() && !s->processed) return s;
-            }
-            return nullptr;
-          };
-          if (!hedge_launched) {
-            const bool finished = race->cv.wait_for(
-                lock, std::chrono::duration<double>(std::max(hedge_at.remaining(), 0.0)),
-                [&] { return next_done() != nullptr; });
-            if (!finished) {
-              lock.unlock();
-              // Hedge delay elapsed with the primary still outstanding.
-              hedge_launched = true;
-              st.hedged = true;
-              metrics::counter("client.hedge_total").inc();
-              ++attempts;
-              attempts_total_.inc();
-              NS_DEBUG("client") << "hedging " << problem << " on "
-                                 << candidates[ci + 1].server_name << " after "
-                                 << hedge_delay << "s";
-              launch(candidates[ci + 1]);
-              consumed = 2;
-              continue;
-            }
-          } else {
-            race->cv.wait(lock, [&] { return next_done() != nullptr; });
-          }
-          done = next_done();
-          done->processed = true;
-        }
-        // The worker is finished with this slot (established under the
-        // lock); read it freely.
-        const bool was_hedge = done != slots.front();
-        auto result = std::move(*done->result);
-
-        if (!result.ok()) {
-          release_lease(true);
-          add_span("client.attempt", attempt_span_, done->start,
-                   total_watch.elapsed() - done->start);
-          NS_DEBUG("client") << "attempt on " << done->candidate.server_name
-                             << " failed: " << result.error().to_string();
-          last_error = result.error();
-          report_failure(done->candidate.server_id, result.error().code);
+          report_failure(cand.server_id, result.error().code);
           if (!is_retryable(result.error().code)) {
             cancel_losers();
             return fail(result.error());
           }
-        } else {
-          const auto code = static_cast<ErrorCode>(result.value().error_code);
-          if (code == ErrorCode::kOk) {
-            cancel_losers();
-            if (was_hedge) metrics::counter("client.hedge_wins_total").inc();
-            return finish_success(done->candidate, std::move(result.value()),
-                                  done->start, done->io_seconds);
-          }
-          release_lease(true);
-          add_span("client.attempt", attempt_span_, done->start, done->io_seconds);
-          if (code == ErrorCode::kMigrated && result.value().migrated_port != 0) {
-            // Same forwarding dance as the plain path; any racing sibling is
-            // cancelled first (the migrated job already owns the answer).
-            cancel_losers();
-            const net::Endpoint dest{result.value().migrated_host,
-                                     result.value().migrated_port};
-            metrics::counter("client.migrations_followed_total").inc();
-            const double follow_budget =
-                budgeted ? deadline.remaining() : config_.io_timeout_s;
-            auto followed = wait_for_job(dest, request.request_id, follow_budget);
-            if (followed.ok() &&
-                static_cast<ErrorCode>(followed.value().error_code) == ErrorCode::kOk) {
-              return finish_success(done->candidate, std::move(followed.value()),
-                                    done->start, total_watch.elapsed() - done->start);
-            }
-            last_error = make_error(ErrorCode::kMigrated,
-                                    "migration follow failed for request " +
-                                        std::to_string(request.request_id));
-            break;  // leave the race; move on down the ranked list
-          }
-          Error err = make_error(code, result.value().error_message);
-          if (!is_retryable(code)) {
-            cancel_losers();
-            return fail(std::move(err));
-          }
-          NS_DEBUG("client") << "server " << done->candidate.server_name
-                             << " replied failure: " << err.to_string();
-          pending_retry_after =
-              std::max(pending_retry_after, result.value().retry_after_s);
-          last_error = std::move(err);
-          // Overload = backpressure, not a fault (see the plain path above).
-          if (code != ErrorCode::kServerOverloaded) {
-            report_failure(done->candidate.server_id, code);
-          }
+          continue;
         }
 
-        // This attempt failed retryably; keep waiting if a sibling is still
-        // racing, otherwise move on down the ranked list.
-        bool more = false;
-        {
-          std::lock_guard<std::mutex> lock(race->mu);
-          for (const auto& s : slots) {
-            if (!s->result.has_value() || !s->processed) more = true;
-          }
+        const auto code = static_cast<ErrorCode>(result.value().error_code);
+        if (code == ErrorCode::kOk) {
+          cancel_losers();
+          if (slot == 1) metrics::counter("client.hedge_wins_total").inc();
+          return finish_success(cand, std::move(result.value()), done.start, io_seconds);
         }
-        if (!more) break;
+        release_lease(true);
+        add_span("client.attempt", attempt_span_, done.start, io_seconds);
+        if (code == ErrorCode::kMigrated && result.value().migrated_port != 0) {
+          // The job is still running on the destination server (drain moved
+          // it with its checkpoint): follow the forwarding address and wait
+          // there rather than starting a duplicate solve elsewhere. A racing
+          // sibling is cancelled first: the migrated job owns the answer.
+          cancel_losers();
+          const net::Endpoint dest{result.value().migrated_host,
+                                   result.value().migrated_port};
+          metrics::counter("client.migrations_followed_total").inc();
+          NS_DEBUG("client") << "request " << request.request_id << " migrated to "
+                             << dest.host << ":" << dest.port << "; following";
+          const double follow_budget = budgeted ? deadline.remaining() : config_.io_timeout_s;
+          auto followed = wait_for_job(dest, request.request_id, follow_budget);
+          if (followed.ok() &&
+              static_cast<ErrorCode>(followed.value().error_code) == ErrorCode::kOk) {
+            return finish_success(cand, std::move(followed.value()), done.start,
+                                  total_watch.elapsed() - done.start);
+          }
+          // Dead end (destination unreachable or the job failed there too).
+          // The solve is idempotent, so falling back to a fresh attempt on
+          // the next candidate is safe.
+          last_error = make_error(ErrorCode::kMigrated, "migration follow failed for request " +
+                                                            std::to_string(request.request_id));
+          continue;
+        }
+        Error err = make_error(code, result.value().error_message);
+        if (!is_retryable(code)) {
+          cancel_losers();
+          return fail(std::move(err));  // the request itself is bad; retrying cannot help
+        }
+        NS_DEBUG("client") << "server " << cand.server_name
+                           << " replied failure: " << err.to_string();
+        pending_retry_after = std::max(pending_retry_after, result.value().retry_after_s);
+        last_error = std::move(err);
+        // An overload rejection is an admission decision by a healthy
+        // server, not a fault: reporting it would quarantine the very pool
+        // that is asking us to back off. The agent learns about the pressure
+        // from the server's own workload reports instead.
+        if (code != ErrorCode::kServerOverloaded) report_failure(cand.server_id, code);
       }
-      ci += consumed;
+      ci += launched;
     }
     // Ranked list exhausted; re-query (the agent has fresher liveness data
     // after our failure reports).
@@ -1062,9 +1001,9 @@ struct RequestHandle::State {
 };
 
 NetSolveClient::~NetSolveClient() {
-  // A dropped RequestHandle detaches its worker thread, and losing hedge
-  // attempts outlive their call; all of them still run against this client,
-  // so block (condvar, not a spin) until the last one checks out.
+  // A dropped RequestHandle detaches its worker thread, which still runs
+  // netsl against this client, so block (condvar, not a spin) until the last
+  // one checks out. Hedge losers and cancels hold nothing of the client.
   std::unique_lock<std::mutex> lock(bg_mu_);
   bg_cv_.wait(lock, [this] { return bg_outstanding_ == 0; });
 }

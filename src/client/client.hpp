@@ -192,9 +192,10 @@ class NetSolveClient {
         attempt_span_(trace::span_histogram("client.attempt")),
         result_transfer_span_(trace::span_histogram("client.result_transfer")) {}
 
-  /// Waits for background workers (netsl_nb calls whose handles were
-  /// dropped, losing hedge attempts, in-flight cancel posts): they reference
-  /// this client and would otherwise race its teardown.
+  /// Waits for the workers of netsl_nb calls whose handles were dropped:
+  /// they reference this client and would otherwise race its teardown. A
+  /// hedge loser or cancel still in flight holds nothing of the client, so
+  /// it is not waited for.
   ~NetSolveClient();
 
   /// Blocking solve. Returns the problem's output list.
@@ -202,9 +203,10 @@ class NetSolveClient {
                                              const std::vector<dsl::DataObject>& args,
                                              CallStats* stats = nullptr);
 
-  /// Non-blocking solve; the returned handle owns a worker thread.
-  /// Lifetime: the client must outlive every in-flight request it issued
-  /// (the worker calls back into this client). Dropping the handle is fine —
+  /// Non-blocking solve; the returned handle owns a worker thread running
+  /// netsl, the one thread the client still starts per call. Lifetime: the
+  /// client must outlive every in-flight request it issued (the worker
+  /// calls back into this client). Dropping the handle is fine —
   /// the orphaned worker finishes in the background — but destroy the
   /// client only after all requests completed or were waited on.
   RequestHandle netsl_nb(const std::string& problem, std::vector<dsl::DataObject> args);
@@ -285,17 +287,11 @@ class NetSolveClient {
                                  double timeout_cap = 0.0,
                                  trace::TraceId trace_id = trace::kNoTrace,
                                  bool* degraded = nullptr, LeasePtr* ticket = nullptr);
-  /// One attempt against one server; transport-level failures are retryable.
-  Result<proto::SolveResult> attempt(const proto::ServerCandidate& candidate,
-                                     const proto::SolveRequest& request, double* io_seconds);
   /// The hedge delay for one call: the per-problem attempt-latency quantile
   /// once enough samples exist, else the configured static delay. 0 = off.
   double hedge_delay_for(const metrics::Histogram& attempt_s) const;
-  /// Fire-and-forget CANCEL for `request_id` at `peer`, on a background
-  /// thread so the winning call's return path never blocks on the loser.
-  void post_cancel_async(const net::Endpoint& peer, std::uint64_t request_id);
-  /// Background-worker accounting (netsl_nb workers, hedge attempts, cancel
-  /// posts). end_background() may be the thread's last touch of the client.
+  /// netsl_nb worker accounting. end_background() may be the worker's last
+  /// touch of the client.
   void begin_background();
   void end_background();
   void report_failure(proto::ServerId id, ErrorCode code);

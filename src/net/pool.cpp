@@ -232,12 +232,16 @@ std::size_t ConnectionPool::idle_count() const {
 
 MuxChannel::MuxChannel(TcpConnection conn, Endpoint remote)
     : conn_(std::move(conn)), remote_(std::move(remote)) {
-  reader_ = std::thread([this] { reader_loop(); });
+  reader_ = std::thread([this] {
+    reader_loop();
+    fail_waiters();
+  });
 }
 
 MuxChannel::~MuxChannel() {
   {
     std::lock_guard lock(mu_);
+    if (!dead_) death_ = make_error(ErrorCode::kConnectionClosed, "mux channel closed");
     dead_ = true;
   }
   conn_.shutdown_both();
@@ -257,21 +261,38 @@ void MuxChannel::poison(const Error& why) {
     death_ = why;
   }
   // Wake the reader (and fail its current read) without freeing the fd: a
-  // concurrent reader must never race a recycled descriptor number.
+  // concurrent reader must never race a recycled descriptor number. The
+  // reader fails the remaining waiters on its way out.
   conn_.shutdown_both();
-  cv_.notify_all();
   metrics::counter("net.mux.poisoned_total").inc();
 }
 
-Result<Message> MuxChannel::call(std::uint16_t request_type, const serial::Bytes& payload,
-                                 std::uint16_t reply_type, std::uint64_t request_id,
-                                 double timeout_s, const LinkShape& shape) {
-  Waiter waiter;
+void MuxChannel::fail_waiters() {
+  decltype(waiters_) orphans;
+  Error why;
+  {
+    // dead_ is set, so start() registers nothing after this swap.
+    std::lock_guard lock(mu_);
+    orphans.swap(waiters_);
+    why = death_;
+  }
+  for (auto& [key, done] : orphans) done(why);
+}
+
+void MuxChannel::start(std::uint16_t request_type, const serial::Bytes& payload,
+                       std::uint16_t reply_type, std::uint64_t request_id,
+                       const LinkShape& shape, Completion done) {
   const auto key = std::make_pair(request_id, reply_type);
   {
-    std::lock_guard lock(mu_);
-    if (dead_) return death_;
-    waiters_[key] = &waiter;
+    std::unique_lock lock(mu_);
+    if (dead_ || (done && !waiters_.try_emplace(key, std::move(done)).second)) {
+      // try_emplace leaves `done` intact when the key is taken.
+      const Error why =
+          dead_ ? death_ : make_error(ErrorCode::kInternal, "request id already in flight");
+      lock.unlock();
+      if (done) done(why);
+      return;
+    }
   }
 
   // The header's CRC pass over the payload runs before send_mu_, so
@@ -288,27 +309,21 @@ Result<Message> MuxChannel::call(std::uint16_t request_type, const serial::Bytes
     sent = armed ? send_message(conn_, request_type, payload, shape)
                  : send_framed(conn_, header, payload, shape);
   }
-  if (!sent.ok()) {
-    {
-      std::lock_guard lock(mu_);
-      waiters_.erase(key);
-    }
-    // A send-side failure (injected reset, peer gone) leaves the stream in
-    // an unknown state: poison so every sharer redials.
-    poison(sent.error());
-    return sent.error();
+  if (sent.ok()) return;
+  decltype(waiters_)::node_type mine;
+  {
+    std::lock_guard lock(mu_);
+    mine = waiters_.extract(key);
   }
+  // A send-side failure (injected reset, peer gone) leaves the stream in
+  // an unknown state: poison so every sharer redials.
+  poison(sent.error());
+  if (mine) mine.mapped()(sent.error());
+}
 
-  std::unique_lock lock(mu_);
-  const bool got = cv_.wait_for(lock, std::chrono::duration<double>(timeout_s),
-                                [&] { return waiter.done || dead_; });
-  if (waiter.done) return std::move(waiter.reply);
-  waiters_.erase(key);
-  if (dead_) return death_;
-  // Timed out: the reply may still arrive; the reader will read and discard
-  // it whole, so the stream stays framed and the channel stays usable.
-  (void)got;
-  return make_error(ErrorCode::kTimeout, "mux call timed out");
+bool MuxChannel::abandon(std::uint64_t request_id, std::uint16_t reply_type) {
+  std::lock_guard lock(mu_);
+  return waiters_.erase(std::make_pair(request_id, reply_type)) > 0;
 }
 
 void MuxChannel::reader_loop() {
@@ -385,17 +400,14 @@ void MuxChannel::reader_loop() {
       poison(make_error(ErrorCode::kServerOverloaded, "transport busy (accept shed)"));
       return;
     }
-    const std::uint64_t id = peek_request_id(msg.payload);
-    std::lock_guard lock(mu_);
-    auto it = waiters_.find(std::make_pair(id, msg.type));
-    if (it != waiters_.end()) {
-      it->second->reply = std::move(msg);
-      it->second->done = true;
-      waiters_.erase(it);
-      cv_.notify_all();
+    decltype(waiters_)::node_type waiter;
+    {
+      std::lock_guard lock(mu_);
+      waiter = waiters_.extract(std::make_pair(peek_request_id(msg.payload), msg.type));
     }
-    // No waiter (deadline already expired): the frame was consumed whole and
-    // dropped — nothing leaks into the next caller's reply.
+    // No waiter (abandoned, or a posted frame's reply): the frame was
+    // consumed whole and dropped — nothing leaks into the next caller's reply.
+    if (waiter) waiter.mapped()(std::move(msg));
   }
 }
 

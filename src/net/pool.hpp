@@ -20,13 +20,15 @@
 //                              pipeline over one socket: frames interleave
 //                              in flight and a reader thread demultiplexes
 //                              replies by the request id in the first eight
-//                              payload bytes. Non-blocking netsl_nb calls
-//                              and hedges share the socket instead of one
-//                              socket each. A transport-level error (reset,
-//                              CRC damage, mid-frame stall) poisons the
-//                              channel: every pending call fails retryably,
-//                              the channel is evicted, and the next call
-//                              redials.
+//                              payload bytes, handing each to its call's
+//                              completion. No call holds a thread while it
+//                              waits: netsl_nb calls and hedges share the
+//                              socket, and a hedge loser's CANCEL is a
+//                              frame posted with no waiter. A transport-
+//                              level error (reset, CRC damage, mid-frame
+//                              stall) poisons the channel: every pending
+//                              call fails retryably, the channel is
+//                              evicted, and the next call redials.
 //
 // Fault-injection parity: leases and channel dials consult
 // FaultInjector::on_connect even on a pool hit (the pool is a dial cache —
@@ -35,9 +37,9 @@
 // fault plans and link shaping behave exactly as they did on fresh dials.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -100,16 +102,30 @@ class PooledConn {
 /// One pipelined connection to one endpoint, shared by concurrent callers.
 class MuxChannel {
  public:
+  /// Receives a call's reply frame, or the error that ended it. It runs
+  /// exactly once, outside the channel's lock: on the reader thread when the
+  /// matching reply arrives or the channel dies, or inline in start() when
+  /// the channel is already dead or the send fails. It should only hand the
+  /// frame over (decode on the waiting thread, so a big reply never holds up
+  /// the channel's other replies), and must not own the channel: the reader
+  /// thread cannot join itself.
+  using Completion = std::function<void(Result<Message>)>;
+
   ~MuxChannel();
 
-  /// Send a request frame and wait for the reply whose (type, request_id)
-  /// matches. Concurrent calls interleave on the socket. On timeout the
-  /// waiter just deregisters — the late reply is read and discarded whole by
-  /// the reader, so the stream stays framed. Transport errors poison the
-  /// channel (all waiters fail, callers redial through the pool).
-  Result<Message> call(std::uint16_t request_type, const serial::Bytes& payload,
-                       std::uint16_t reply_type, std::uint64_t request_id,
-                       double timeout_s, const LinkShape& shape = LinkShape::unshaped());
+  /// Send a request frame; `done` receives the reply whose (reply_type,
+  /// request_id) matches. Concurrent calls interleave on the socket. An
+  /// empty `done` posts the frame with no waiter: a reply to it is read whole
+  /// and dropped. Transport errors poison the channel: every waiter fails
+  /// and callers redial through the pool.
+  void start(std::uint16_t request_type, const serial::Bytes& payload,
+             std::uint16_t reply_type, std::uint64_t request_id, const LinkShape& shape,
+             Completion done);
+
+  /// Withdraw a call's waiter (its caller timed out). True: the completion
+  /// will never run, and a late reply is read whole and dropped, so the
+  /// stream stays framed. False: the completion has run or is running.
+  bool abandon(std::uint64_t request_id, std::uint16_t reply_type);
 
   bool healthy() const;
   const Endpoint& remote() const noexcept { return remote_; }
@@ -119,20 +135,16 @@ class MuxChannel {
   MuxChannel(TcpConnection conn, Endpoint remote);
 
   void reader_loop();
+  /// Reader exit: fail every waiter still registered with the death error.
+  void fail_waiters();
   void poison(const Error& why);
 
   TcpConnection conn_;
   Endpoint remote_;
   std::mutex send_mu_;
 
-  struct Waiter {
-    bool done = false;
-    Message reply;
-  };
-
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<std::pair<std::uint64_t, std::uint16_t>, Waiter*> waiters_;
+  std::map<std::pair<std::uint64_t, std::uint16_t>, Completion> waiters_;
   bool dead_ = false;
   Error death_;
   std::thread reader_;

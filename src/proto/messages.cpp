@@ -292,13 +292,15 @@ Result<ProblemCatalog> ProblemCatalog::decode(serial::Decoder& dec) {
   return msg;
 }
 
-void SolveRequest::encode(serial::Encoder& enc) const {
+void SolveRequest::encode(serial::Encoder& enc,
+                          const std::vector<dsl::DataObject>& with_args) const {
   // Reserved to the byte, so the arrays are copied once and the trailing
   // fields never reallocate the buffer.
-  enc.reserve(enc.size() + 8 + 4 + problem.size() + dsl::args_byte_size(args) + 8 + 8 + 8 + 1);
+  enc.reserve(enc.size() + 8 + 4 + problem.size() + dsl::args_byte_size(with_args) + 8 + 8 +
+              8 + 1);
   enc.put_u64(request_id);
   enc.put_string(problem);
-  dsl::encode_args(enc, args);
+  dsl::encode_args(enc, with_args);
   enc.put_f64(deadline_s);
   enc.put_u64(trace_id);
   enc.put_u64(client_id);

@@ -235,7 +235,11 @@ struct SolveRequest {
   /// Trailing optional field; false from old peers.
   bool require_durable = false;
 
-  void encode(serial::Encoder& enc) const;
+  void encode(serial::Encoder& enc) const { encode(enc, args); }
+  /// The wire layout with the arguments passed in, so a client encodes each
+  /// attempt straight from its caller's arguments instead of copying them
+  /// into `args` first.
+  void encode(serial::Encoder& enc, const std::vector<dsl::DataObject>& with_args) const;
   static Result<SolveRequest> decode(serial::Decoder& dec);
 };
 

@@ -6,12 +6,18 @@
 // directory without losing a single job.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "client/client.hpp"
 #include "common/clock.hpp"
 #include "common/metrics.hpp"
+#include "net/pool.hpp"
 #include "net/transport.hpp"
 #include "proto/messages.hpp"
 #include "testkit/cluster.hpp"
@@ -52,12 +58,35 @@ Result<proto::SolveResult> recv_solve_result(net::TcpConnection& conn, double ti
   return proto::SolveResult::decode(dec);
 }
 
-// A stalled primary: server0 is the agent's clear first pick (full speed vs
-// half speed), but a background-load spike stretches its service time far
-// past the hedge delay. The backup launched on server1 must win, the call
-// must succeed fast, and the loser on server0 must be observed *cancelled*,
-// never completed.
-TEST(HedgeTest, BackupWinsAndLoserIsCancelled) {
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+struct TempDir {
+  std::string path;
+  TempDir() {
+    const char* base = std::getenv("NS_DURABLE_TMPDIR");
+    std::string tmpl_s =
+        std::string(base != nullptr && *base != '\0' ? base : "/tmp") + "/ns_hedge_XXXXXX";
+    std::vector<char> tmpl(tmpl_s.begin(), tmpl_s.end());
+    tmpl.push_back('\0');
+    const char* made = ::mkdtemp(tmpl.data());
+    path = made != nullptr ? made : "/tmp/ns_hedge_fallback";
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
+// server0 at full speed, server1 at half: the agent's clear first pick is
+// server0, and a frozen report period keeps it that way.
+testkit::ClusterConfig fast_and_slow_pair() {
   testkit::ClusterConfig config;
   config.rating_base = 500.0;
   testkit::ClusterServerSpec fast;
@@ -72,8 +101,18 @@ TEST(HedgeTest, BackupWinsAndLoserIsCancelled) {
   config.io_timeout_s = 10.0;
   // Static hedge delay: min_samples is unreachable on purpose so a warmed
   // process-global latency histogram from earlier tests cannot perturb it.
-  config.client_hedge_delay_s = 0.15;
   config.client_hedge_min_samples = ~0ull;
+  return config;
+}
+
+// A stalled primary: server0 is the agent's clear first pick (full speed vs
+// half speed), but a background-load spike stretches its service time far
+// past the hedge delay. The backup launched on server1 must win, the call
+// must succeed fast, and the loser on server0 must be observed *cancelled*,
+// never completed.
+TEST(HedgeTest, BackupWinsAndLoserIsCancelled) {
+  testkit::ClusterConfig config = fast_and_slow_pair();
+  config.client_hedge_delay_s = 0.15;
 
   auto cluster = testkit::TestCluster::start(config);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
@@ -113,6 +152,92 @@ TEST(HedgeTest, BackupWinsAndLoserIsCancelled) {
   const auto* cancelled = snap.value().find("server.cancelled_running_total");
   ASSERT_NE(cancelled, nullptr);
   EXPECT_GE(cancelled->count, 1u);
+}
+
+// A hedged call keeps the durability armor of a plain one. The hedge delay
+// outlasts the test, so the race never grows a second attempt; when the
+// journaling primary crashes mid-solve, the call reattaches to the restarted
+// server and collects the recovered job's answer instead of resubmitting it
+// to server1 (a duplicate solve).
+TEST(HedgeTest, HedgedCallReattachesAfterPrimaryCrash) {
+  TempDir data;
+  testkit::ClusterConfig config = fast_and_slow_pair();
+  config.servers[0].data_dir = data.path;
+  config.client_hedge_delay_s = 600.0;
+  config.client_reattach_s = 20.0;
+  config.io_timeout_s = 30.0;
+  auto cluster = testkit::TestCluster::start(config);
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+
+  const auto reattach_before = metrics::counter("client.reattach_total").value();
+  auto client = cluster.value()->make_client();
+  // simwork(500) at rating 500: ~1 s of sliced, checkpointable sleep.
+  auto handle = client.netsl_nb("simwork", {DataObject(std::int64_t{500})});
+  ASSERT_TRUE(eventually(
+      [&] { return cluster.value()->server(0).current_workload() >= 1.0; }, 10.0))
+      << "the call never reached server0";
+  sleep_seconds(0.2);  // mid-solve: admitted, journaled, computing
+
+  cluster.value()->crash_server(0);
+  ASSERT_TRUE(cluster.value()->restart_server(0).ok());
+
+  auto out = handle.wait();
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  EXPECT_FALSE(handle.stats().hedged);
+  EXPECT_EQ(metrics::counter("client.reattach_total").value(), reattach_before + 1);
+  EXPECT_EQ(cluster.value()->server(1).completed(), 0u)
+      << "the crashed primary's job was solved again on server1";
+}
+
+// Hedges and cancels start no thread: a race waits on the caller's own
+// condvar, the hedge fires from that wait, and the loser's CANCEL is a frame
+// posted on its channel. Destroying the client while the loser still
+// computes is clean: nothing in flight references it.
+TEST(HedgeTest, HedgesAndCancelsSpawnNoThread) {
+  testkit::ClusterConfig config = fast_and_slow_pair();
+  config.client_hedge_delay_s = 0.15;
+  auto cluster = testkit::TestCluster::start(config);
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  cluster.value()->server(0).set_background_load(50.0);
+
+  // Warm both servers' mux channels (a reader thread each) and the agent
+  // connection, so the call itself has nothing legitimate to start.
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(
+        net::ConnectionPool::instance().channel(cluster.value()->server(i).endpoint(), 2.0).ok());
+  }
+  ASSERT_TRUE(cluster.value()->make_client().ping_agent().ok());
+
+  std::atomic<bool> sampling{true};
+  std::atomic<std::size_t> peak{0};
+  std::thread sampler([&] {
+    while (sampling.load()) {
+      const std::size_t n = thread_count();
+      if (n > peak.load()) peak.store(n);
+      sleep_seconds(0.001);
+    }
+  });
+  sleep_seconds(0.01);
+  const std::size_t before = thread_count();  // the sampler included
+  const auto cancels_before = metrics::counter("client.cancel_sent_total").value();
+  client::CallStats stats;
+  auto out = [&] {
+    // The client dies on return, while the loser on server0 still unwinds.
+    auto client = cluster.value()->make_client();
+    return client.netsl("simwork", {DataObject(std::int64_t{25})}, &stats);
+  }();
+  sampling.store(false);
+  sampler.join();
+
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  EXPECT_TRUE(stats.hedged);
+  EXPECT_EQ(stats.server_name, "server1");
+  EXPECT_GE(metrics::counter("client.cancel_sent_total").value(), cancels_before + 1);
+  EXPECT_LE(peak.load(), before) << "a hedged call grew the process from " << before
+                                 << " to " << peak.load() << " threads";
+  EXPECT_TRUE(eventually(
+      [&] { return cluster.value()->server(0).cancelled_running() >= 1; }))
+      << "the loser was never cancelled on server0";
 }
 
 // Cross-server cancellation at both lifecycle stages, over raw connections

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -63,6 +64,57 @@ double payload_sleep_s(const serial::Bytes& payload) {
     ms |= static_cast<std::uint64_t>(payload[8 + i]) << (8 * i);
   }
   return static_cast<double>(ms) / 1000.0;
+}
+
+/// Where one mux call's completion lands. `fired` counts how often the
+/// channel ran the completion: once per call, and never after a successful
+/// abandon().
+struct Landing {
+  std::mutex mu;
+  std::condition_variable cv;
+  int fired = 0;
+  std::optional<Result<Message>> reply;
+
+  int fired_count() {
+    std::lock_guard lock(mu);
+    return fired;
+  }
+};
+
+std::shared_ptr<Landing> start_call(MuxChannel& channel, const serial::Bytes& payload,
+                                    std::uint64_t id) {
+  auto landing = std::make_shared<Landing>();
+  channel.start(kEchoReq, payload, kEchoRep, id, LinkShape::unshaped(),
+                [landing](Result<Message> reply) {
+                  std::lock_guard lock(landing->mu);
+                  ++landing->fired;
+                  landing->reply.emplace(std::move(reply));
+                  landing->cv.notify_all();
+                });
+  return landing;
+}
+
+/// Wait up to `timeout_s` for the call's completion. On timeout the waiter
+/// is abandoned, as a blocking caller does; if the completion won that race,
+/// its reply is taken instead.
+Result<Message> wait_call(MuxChannel& channel, Landing& landing, std::uint64_t id,
+                          double timeout_s) {
+  std::unique_lock lock(landing.mu);
+  const auto landed = [&] { return landing.reply.has_value(); };
+  if (!landing.cv.wait_for(lock, std::chrono::duration<double>(timeout_s), landed)) {
+    lock.unlock();
+    if (channel.abandon(id, kEchoRep)) return make_error(ErrorCode::kTimeout, "mux call timed out");
+    lock.lock();
+    landing.cv.wait(lock, landed);
+  }
+  return std::move(*landing.reply);
+}
+
+/// A blocking echo call: start, then wait.
+Result<Message> mux_call(MuxChannel& channel, const serial::Bytes& payload, std::uint64_t id,
+                         double timeout_s) {
+  auto landing = start_call(channel, payload, id);
+  return wait_call(channel, *landing, id, timeout_s);
 }
 
 /// Poll until the reactor reports exactly `want` live connections (closes
@@ -362,7 +414,7 @@ TEST(MuxTest, ArmedCorruptPlanSurfacesCorruptFrame) {
     EXPECT_EQ(request.error().code, ErrorCode::kCorruptFrame);
     ASSERT_TRUE(send_message(accepted.value(), kEchoRep, make_payload(5)).ok());
   });
-  auto reply = channel.value()->call(kEchoReq, make_payload(5), kEchoRep, 5, 5.0);
+  auto reply = mux_call(*channel.value(), make_payload(5), 5, 5.0);
   peer.join();
   FaultInjector::instance().disarm_all();
   pool.clear();
@@ -534,18 +586,21 @@ TEST(MuxTest, ConcurrentCallsDemuxByRequestId) {
   ASSERT_TRUE(channel.ok());
 
   // Out-of-order completion by construction: id 1 sleeps, id 2 does not.
-  // Both share one socket; each must get exactly its own payload back.
-  std::thread slow([&] {
-    auto reply = channel.value()->call(kEchoReq, make_payload(1, /*sleep_s=*/0.4), kEchoRep,
-                                       1, /*timeout_s=*/5.0);
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(payload_id(reply.value().payload), 1u);
-  });
+  // Both share one socket; each must get exactly its own payload back, and
+  // each completion runs exactly once.
+  auto slow = start_call(*channel.value(), make_payload(1, /*sleep_s=*/0.4), 1);
   sleep_seconds(0.05);  // let the slow call hit the wire first
-  auto fast = channel.value()->call(kEchoReq, make_payload(2), kEchoRep, 2, 5.0);
-  ASSERT_TRUE(fast.ok());
-  EXPECT_EQ(payload_id(fast.value().payload), 2u);
-  slow.join();
+  auto fast = start_call(*channel.value(), make_payload(2), 2);
+  auto fast_reply = wait_call(*channel.value(), *fast, 2, 5.0);
+  ASSERT_TRUE(fast_reply.ok());
+  EXPECT_EQ(payload_id(fast_reply.value().payload), 2u);
+  EXPECT_EQ(slow->fired_count(), 0) << "the slow call completed with the fast reply";
+  auto slow_reply = wait_call(*channel.value(), *slow, 1, 5.0);
+  ASSERT_TRUE(slow_reply.ok());
+  EXPECT_EQ(payload_id(slow_reply.value().payload), 1u);
+  sleep_seconds(0.05);
+  EXPECT_EQ(slow->fired_count(), 1);
+  EXPECT_EQ(fast->fired_count(), 1);
 
   // Both calls shared one pipelined connection.
   EXPECT_EQ(server.reactor().connection_count(), 1u);
@@ -564,7 +619,7 @@ TEST(MuxTest, ManyPipelinedCallsOverOneSocket) {
       auto channel = pool.channel(server.endpoint(), 2.0);
       ASSERT_TRUE(channel.ok());
       const auto id = static_cast<std::uint64_t>(i + 1);
-      auto reply = channel.value()->call(kEchoReq, make_payload(id), kEchoRep, id, 5.0);
+      auto reply = mux_call(*channel.value(), make_payload(id), id, 5.0);
       if (reply.ok() && payload_id(reply.value().payload) == id) ok_count.fetch_add(1);
     });
   }
@@ -574,9 +629,10 @@ TEST(MuxTest, ManyPipelinedCallsOverOneSocket) {
       << "pipelined calls dialed extra sockets";
 }
 
-// A timed-out mux call deregisters its waiter; the late reply is read and
-// discarded whole, so the channel keeps serving later calls on the same
-// socket (no poisoning, no eviction).
+// A timed-out mux call abandons its waiter: its completion never runs, and
+// the late reply is read and discarded whole, so the channel keeps serving
+// later calls on the same socket (no poisoning, no eviction). A frame posted
+// with no waiter behaves the same: its unmatched reply is dropped whole.
 TEST(MuxTest, LateReplyAfterTimeoutIsDiscardedChannelSurvives) {
   EchoServer server;
   auto& pool = ConnectionPool::instance();
@@ -584,16 +640,26 @@ TEST(MuxTest, LateReplyAfterTimeoutIsDiscardedChannelSurvives) {
 
   auto channel = pool.channel(server.endpoint(), 2.0);
   ASSERT_TRUE(channel.ok());
-  auto late = channel.value()->call(kEchoReq, make_payload(1, /*sleep_s=*/0.3), kEchoRep, 1,
-                                    /*timeout_s=*/0.05);
+  auto landing = start_call(*channel.value(), make_payload(1, /*sleep_s=*/0.3), 1);
+  auto late = wait_call(*channel.value(), *landing, 1, /*timeout_s=*/0.05);
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.error().code, ErrorCode::kTimeout);
+  EXPECT_FALSE(channel.value()->abandon(1, kEchoRep)) << "abandoned twice";
 
   sleep_seconds(0.4);  // the late reply lands and must be dropped whole
+  EXPECT_EQ(landing->fired_count(), 0) << "an abandoned call's completion ran";
   EXPECT_TRUE(channel.value()->healthy());
-  auto after = channel.value()->call(kEchoReq, make_payload(2), kEchoRep, 2, 5.0);
+  auto after = mux_call(*channel.value(), make_payload(2), 2, 5.0);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(payload_id(after.value().payload), 2u);
+
+  // Posted, no waiter: the echo comes back unmatched.
+  channel.value()->start(kEchoReq, make_payload(3), kEchoRep, 3, LinkShape::unshaped(), {});
+  auto next = mux_call(*channel.value(), make_payload(4, /*sleep_s=*/0.05), 4, 5.0);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(payload_id(next.value().payload), 4u);
+  EXPECT_TRUE(channel.value()->healthy());
+  EXPECT_EQ(server.reactor().connection_count(), 1u);
 }
 
 // Satellite regression: connection reuse survives arm_fault mid-stream
@@ -607,26 +673,35 @@ TEST(MuxTest, MidStreamResetEvictsChannelAndRedials) {
 
   auto first = pool.channel(server.endpoint(), 2.0);
   ASSERT_TRUE(first.ok());
-  auto warm = first.value()->call(kEchoReq, make_payload(1), kEchoRep, 1, 5.0);
+  auto warm = mux_call(*first.value(), make_payload(1), 1, 5.0);
   ASSERT_TRUE(warm.ok());
+  // A call still waiting when the channel dies ends by poison.
+  auto pending = start_call(*first.value(), make_payload(9, /*sleep_s=*/1.0), 9);
+  sleep_seconds(0.05);
 
   // One reset: the send tears the stream mid-frame and the channel poisons.
   FaultPlan plan = FaultPlan::single(FaultMode::kReset, 1.0);
   plan.rules[0].max_triggers = 1;
   FaultInjector::instance().arm(server.endpoint(), plan);
-  auto reset = first.value()->call(kEchoReq, make_payload(2), kEchoRep, 2, 5.0);
+  auto reset = mux_call(*first.value(), make_payload(2), 2, 5.0);
   ASSERT_FALSE(reset.ok());
   EXPECT_TRUE(is_retryable(reset.error().code)) << reset.error().to_string();
   EXPECT_FALSE(first.value()->healthy());
   EXPECT_GT(metrics::counter("net.mux.poisoned_total").value(), poisoned_before);
   FaultInjector::instance().disarm_all();
 
+  auto orphaned = wait_call(*first.value(), *pending, 9, 5.0);
+  ASSERT_FALSE(orphaned.ok());
+  EXPECT_TRUE(is_retryable(orphaned.error().code)) << orphaned.error().to_string();
+  sleep_seconds(0.05);
+  EXPECT_EQ(pending->fired_count(), 1);
+
   // Next channel() evicts the poisoned one and redials.
   auto second = pool.channel(server.endpoint(), 2.0);
   ASSERT_TRUE(second.ok());
   EXPECT_NE(second.value().get(), first.value().get());
   EXPECT_GT(metrics::counter("net.mux.evicted_total").value(), evicted_before);
-  auto after = second.value()->call(kEchoReq, make_payload(3), kEchoRep, 3, 5.0);
+  auto after = mux_call(*second.value(), make_payload(3), 3, 5.0);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(payload_id(after.value().payload), 3u);
 }
