@@ -300,7 +300,7 @@ HedgeResult run_hedge_case(bool hedged) {
   for (std::size_t i = 0; i < cluster.value()->server_count(); ++i) {
     auto& s = cluster.value()->server(i);
     cancelled_before += s.cancelled_queued() + s.cancelled_running();
-    shed_before += s.shed();
+    shed_before += s.shed_admission() + s.shed_dequeue();
   }
 
   auto client = cluster.value()->make_client();
@@ -326,7 +326,7 @@ HedgeResult run_hedge_case(bool hedged) {
   for (std::size_t i = 0; i < cluster.value()->server_count(); ++i) {
     auto& s = cluster.value()->server(i);
     cancelled_after += s.cancelled_queued() + s.cancelled_running();
-    shed_after += s.shed();
+    shed_after += s.shed_admission() + s.shed_dequeue();
   }
   result.server_cancelled = cancelled_after - cancelled_before;
   result.server_shed = shed_after - shed_before;
@@ -350,10 +350,10 @@ constexpr double kOverloadDeadlineS = 0.5;
 constexpr double kCodelTargetS = 0.35;
 
 // One full-speed single-worker server driven open-loop at 3x its measured
-// capacity with 0.5s per-call deadlines. Controlled: the PR-5 admission
-// pipeline (EDF + infeasible/expired sheds + CoDel sojourn shedder).
-// Uncontrolled: the pre-overload-control server — FIFO dispatch, every
-// admitted job computed no matter how stale, max_queue the only defence.
+// capacity with 0.5s per-call deadlines. Controlled: the admission policy
+// (EDF + infeasible/expired sheds + CoDel sojourn shedder). Uncontrolled:
+// deadline_aware = false — FIFO dispatch, every admitted job computed no
+// matter how stale, max_queue the only defence.
 // The uncontrolled queue fills with jobs whose callers have already given
 // up, so almost every completion is ghost work and goodput collapses.
 OverloadResult run_overload_case(bool controlled, double window_s) {
@@ -363,11 +363,8 @@ OverloadResult run_overload_case(bool controlled, double window_s) {
   config.servers[0].max_queue = 64;
   if (controlled) {
     config.servers[0].admission.codel_target_s = kCodelTargetS;
-    config.servers[0].admission.codel_interval_s = 0.1;
   } else {
-    config.servers[0].admission.edf = false;
-    config.servers[0].admission.shed_infeasible = false;
-    config.servers[0].admission.shed_expired = false;
+    config.servers[0].admission.deadline_aware = false;
   }
   config.rating_base = 1000.0;
   config.io_timeout_s = 10.0;

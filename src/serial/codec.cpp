@@ -1,5 +1,8 @@
 #include "serial/codec.hpp"
 
+#include <iterator>
+#include <type_traits>
+
 namespace ns::serial {
 
 void Encoder::put_string(std::string_view s) {
@@ -84,48 +87,63 @@ Result<Bytes> Decoder::get_blob(std::size_t max_len) {
   return out;
 }
 
-Result<std::vector<double>> Decoder::get_f64_array(std::size_t max_count) {
+namespace {
+
+/// Walks a little-endian T array in a byte buffer, decoding on dereference,
+/// so std::vector's range constructor allocates once and writes each
+/// element once: no zero-fill pass ahead of the copy.
+template <typename T>
+struct LeLoad {
+  using iterator_category = std::random_access_iterator_tag;
+  using value_type = T;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const T*;
+  using reference = T;
+
+  const std::uint8_t* p;
+
+  T operator*() const {
+    if constexpr (std::endian::native == std::endian::little) {
+      T v;
+      std::memcpy(&v, p, sizeof(T));
+      return v;
+    } else {
+      using U = std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+      U bits = 0;
+      for (std::size_t b = 0; b < sizeof(T); ++b) bits |= static_cast<U>(p[b]) << (8 * b);
+      return std::bit_cast<T>(bits);
+    }
+  }
+  LeLoad& operator++() {
+    p += sizeof(T);
+    return *this;
+  }
+  difference_type operator-(const LeLoad& other) const {
+    return (p - other.p) / static_cast<difference_type>(sizeof(T));
+  }
+  bool operator==(const LeLoad& other) const { return p == other.p; }
+};
+
+}  // namespace
+
+template <typename T>
+Result<std::vector<T>> Decoder::get_array(std::size_t max_count, const char* truncated) {
   auto count = get_u32();
   if (!count.ok()) return count.error();
   if (count.value() > max_count) return make_error(ErrorCode::kProtocol, "array too long");
-  const std::size_t bytes = static_cast<std::size_t>(count.value()) * sizeof(double);
-  if (remaining() < bytes) return make_error(ErrorCode::kProtocol, "truncated f64 array");
-  std::vector<double> out(count.value());
-  if constexpr (std::endian::native == std::endian::little) {
-    if (count.value() > 0) std::memcpy(out.data(), data_ + pos_, bytes);
-  } else {
-    for (std::size_t i = 0; i < count.value(); ++i) {
-      std::uint64_t bits = 0;
-      for (std::size_t b = 0; b < 8; ++b) {
-        bits |= static_cast<std::uint64_t>(data_[pos_ + i * 8 + b]) << (8 * b);
-      }
-      out[i] = std::bit_cast<double>(bits);
-    }
-  }
+  const std::size_t bytes = static_cast<std::size_t>(count.value()) * sizeof(T);
+  if (remaining() < bytes) return make_error(ErrorCode::kProtocol, truncated);
+  const std::uint8_t* first = data_ + pos_;
   pos_ += bytes;
-  return out;
+  return std::vector<T>(LeLoad<T>{first}, LeLoad<T>{first + bytes});
+}
+
+Result<std::vector<double>> Decoder::get_f64_array(std::size_t max_count) {
+  return get_array<double>(max_count, "truncated f64 array");
 }
 
 Result<std::vector<std::int32_t>> Decoder::get_i32_array(std::size_t max_count) {
-  auto count = get_u32();
-  if (!count.ok()) return count.error();
-  if (count.value() > max_count) return make_error(ErrorCode::kProtocol, "array too long");
-  const std::size_t bytes = static_cast<std::size_t>(count.value()) * sizeof(std::int32_t);
-  if (remaining() < bytes) return make_error(ErrorCode::kProtocol, "truncated i32 array");
-  std::vector<std::int32_t> out(count.value());
-  if constexpr (std::endian::native == std::endian::little) {
-    if (count.value() > 0) std::memcpy(out.data(), data_ + pos_, bytes);
-  } else {
-    for (std::size_t i = 0; i < count.value(); ++i) {
-      std::uint32_t bits = 0;
-      for (std::size_t b = 0; b < 4; ++b) {
-        bits |= static_cast<std::uint32_t>(data_[pos_ + i * 4 + b]) << (8 * b);
-      }
-      out[i] = static_cast<std::int32_t>(bits);
-    }
-  }
-  pos_ += bytes;
-  return out;
+  return get_array<std::int32_t>(max_count, "truncated i32 array");
 }
 
 Status Decoder::expect_exhausted() const {

@@ -107,6 +107,10 @@ class Decoder {
   static constexpr std::size_t kDefaultMaxArray = 1u << 27;    // 128M elements
 
  private:
+  /// Length-prefixed little-endian array of T, count-capped and bounds-checked.
+  template <typename T>
+  Result<std::vector<T>> get_array(std::size_t max_count, const char* truncated);
+
   template <typename T>
   Result<T> get_le() {
     static_assert(std::is_unsigned_v<T>);

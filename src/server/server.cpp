@@ -35,6 +35,20 @@ proto::SolveResult error_result(std::uint64_t request_id, ErrorCode code,
   return result;
 }
 
+// Decode one request frame as Req and send handle(request) back as `reply`.
+// False drops the connection: a frame that does not decode is a protocol
+// violation.
+template <typename Req, typename Handle>
+bool serve(const net::ReactorConnPtr& conn, const serial::Bytes& payload, MessageType reply,
+           Handle&& handle) {
+  serial::Decoder dec(payload);
+  auto request = Req::decode(dec);
+  if (!request.ok()) return false;
+  return conn->send(static_cast<std::uint16_t>(reply),
+                    encode_payload(handle(std::move(request).value())))
+      .ok();
+}
+
 }  // namespace
 
 Result<std::unique_ptr<ComputeServer>> ComputeServer::start(ServerConfig config) {
@@ -94,8 +108,7 @@ Result<std::unique_ptr<ComputeServer>> ComputeServer::start(ServerConfig config)
 
   // Granted jobs that no free thread picks up run here: per slot, at most
   // one thread computing plus one still sending its finished job's reply.
-  server->job_pool_.start(0, 2 * std::max(server->config_.workers,
-                                          server->config_.admission.aimd_max));
+  server->job_pool_.start(0, 2 * server->config_.workers);
   // The reactor adopts the listener: reads and frame decode live on its
   // event loop, handlers (and the jobs they find free slots for) on its
   // elastic pool. Its idle sweep stays above the client pool's keep-alive
@@ -119,50 +132,6 @@ Result<std::unique_ptr<ComputeServer>> ComputeServer::start(ServerConfig config)
   return server;
 }
 
-ComputeServer::ServerMetrics::ServerMetrics(const std::string& name)
-    : requests(metrics::counter("server.requests_total")),
-      completed(metrics::counter("server.completed_total")),
-      admit(metrics::counter("server.admit_total")),
-      shed(metrics::counter("server.shed_total")),
-      shed_admission(metrics::counter("server.shed_admission_total")),
-      shed_dequeue(metrics::counter("server.shed_dequeue_total")),
-      shed_codel(metrics::counter("server.shed_codel_total")),
-      shed_quota(metrics::counter("server.shed_quota_total")),
-      aimd_backoff(metrics::counter("server.aimd_backoff_total")),
-      rejected(metrics::counter("server.rejected_total")),
-      exec_errors(metrics::counter("server.exec_errors_total")),
-      cancelled_queued(metrics::counter("server.cancelled_queued_total")),
-      cancelled_running(metrics::counter("server.cancelled_running_total")),
-      cancel_requests(metrics::counter("server.cancel_requests_total")),
-      drain_rejected(metrics::counter("server.drain_rejected_total")),
-      journal_appends(metrics::counter("server.journal_appends_total")),
-      jobs_recovered(metrics::counter("server.jobs_recovered_total")),
-      jobs_migrated(metrics::counter("server.jobs_migrated_total")),
-      jobs_resumed(metrics::counter("server.jobs_resumed_total")),
-      store_write_errors(metrics::counter("store.write_errors_total")),
-      store_degraded_shed(metrics::counter("store.degraded_shed_total")),
-      store_ckpt_replicated(metrics::counter("store.ckpt_replicated_total")),
-      store_ckpt_raw_bytes(metrics::counter("store.ckpt_raw_bytes_total")),
-      store_ckpt_wire_bytes(metrics::counter("store.ckpt_wire_bytes_total")),
-      store_failover_resume(metrics::counter("store.failover_resume_total")),
-      store_degraded(metrics::gauge("store." + name + ".degraded")),
-      mem_shed(metrics::counter("mem.shed_total")),
-      mem_spilled_bytes(metrics::counter("mem.spilled_bytes_total")),
-      mem_spill_reloads(metrics::counter("mem.spill_reloads_total")),
-      mem_spill_reload_errors(metrics::counter("mem.spill_reload_errors_total")),
-      mem_bad_alloc(metrics::counter("mem.bad_alloc_total")),
-      mem_replica_evicted(metrics::counter("mem.replica_evicted_total")),
-      mem_forced_charge(metrics::counter("mem.forced_charge_total")),
-      mem_accounted(metrics::gauge("mem." + name + ".accounted_bytes")),
-      mem_peak(metrics::gauge("mem." + name + ".peak_bytes")),
-      mem_budget(metrics::gauge("mem." + name + ".budget_bytes")),
-      mem_spill_active(metrics::gauge("mem." + name + ".spill_active")),
-      queue_sojourn_s(metrics::histogram("server.queue_sojourn_s")),
-      compute_s(metrics::histogram("server.compute_s")),
-      queue_depth(metrics::gauge("server." + name + ".queue_depth")),
-      concurrency_limit(metrics::gauge("server." + name + ".concurrency_limit")),
-      draining(metrics::gauge("server." + name + ".draining")) {}
-
 ComputeServer::ComputeServer(ServerConfig config, net::TcpListener listener,
                              double rated_mflops)
     : config_(std::move(config)),
@@ -172,11 +141,11 @@ ComputeServer::ComputeServer(ServerConfig config, net::TcpListener listener,
       // from a periodic keep-alive refresh of the same process.
       incarnation_((static_cast<std::uint64_t>(now_seconds() * 1e6) ^ (config_.seed << 1)) | 1u),
       reregister_rng_(config_.seed ^ 0x9e3779b97f4a7c15ull),
+      policy_(config_.admission, config_.workers, config_.max_queue),
       failure_rng_(config_.seed),
       background_load_(config_.background_load),
       metrics_(config_.name) {
   endpoint_ = listener_.endpoint();
-  concurrency_limit_f_ = static_cast<double>(config_.workers);
   metrics_.concurrency_limit.set(static_cast<double>(config_.workers));
   governor_.configure(config_.mem);
   spill_.configure(config_.mem.spill_dir);
@@ -283,115 +252,13 @@ double ComputeServer::estimate_service_seconds(const proto::SolveRequest& reques
          (1.0 + std::max(background_load_.load(), 0.0));
 }
 
-int ComputeServer::effective_concurrency_locked() const {
-  if (!config_.admission.aimd) return config_.workers;
-  return std::max(config_.admission.aimd_min,
-                  static_cast<int>(concurrency_limit_f_));
-}
-
-int ComputeServer::concurrency_limit() const {
-  std::lock_guard<std::mutex> lock(jobs_mu_);
-  return effective_concurrency_locked();
-}
-
-double ComputeServer::retry_after_locked() const {
-  const int limit = std::max(1, effective_concurrency_locked());
-  const double per_job = service_ewma_s_ > 0.0 ? service_ewma_s_ : 0.02;
-  const double horizon = per_job * static_cast<double>(waiting_jobs_ + 1) / limit;
-  return std::clamp(horizon, 0.002, 2.0);
-}
-
-void ComputeServer::aimd_on_success_locked() {
-  const auto& adm = config_.admission;
-  if (!adm.aimd) return;
-  const int limit = effective_concurrency_locked();
-  if (++aimd_successes_ < limit) return;
-  aimd_successes_ = 0;
-  const double max_limit =
-      static_cast<double>(adm.aimd_max > 0 ? adm.aimd_max : config_.workers);
-  concurrency_limit_f_ = std::min(concurrency_limit_f_ + 1.0, max_limit);
-  metrics_.concurrency_limit.set(effective_concurrency_locked());
-}
-
-void ComputeServer::aimd_on_overload_locked(double now) {
-  const auto& adm = config_.admission;
-  if (!adm.aimd) return;
-  // Space decreases out: one congestion episode sheds many jobs at once,
-  // and each shed must not each take its own multiplicative bite.
-  if (now - aimd_last_decrease_ < 0.1) return;
-  aimd_last_decrease_ = now;
-  aimd_successes_ = 0;
-  concurrency_limit_f_ =
-      std::max(static_cast<double>(adm.aimd_min), concurrency_limit_f_ * adm.aimd_beta);
-  metrics_.aimd_backoff.inc();
-  metrics_.concurrency_limit.set(effective_concurrency_locked());
-}
-
-bool ComputeServer::codel_should_drop_locked(double sojourn, double now) {
-  const double target = config_.admission.codel_target_s;
-  const double interval = std::max(config_.admission.codel_interval_s, 1e-3);
-  if (sojourn < target) {
-    // Back under target: leave the dropping state, but remember the drop
-    // count briefly (classic CoDel resumes near the previous rate if the
-    // queue re-congests right away).
-    codel_first_above_ = 0.0;
-    codel_dropping_ = false;
-    return false;
-  }
-  if (codel_first_above_ == 0.0) {
-    // Above target: arm, but only drop once it stays above for a full
-    // interval (bursts shorter than the interval are fine).
-    codel_first_above_ = now + interval;
-    return false;
-  }
-  if (now < codel_first_above_) return false;
-  if (!codel_dropping_) {
-    codel_dropping_ = true;
-    codel_drop_count_ = codel_drop_count_ > 2 ? codel_drop_count_ - 2 : 1;
-    codel_drop_next_ = now;
-  }
-  if (now >= codel_drop_next_) {
-    ++codel_drop_count_;
-    codel_drop_next_ = now + interval / std::sqrt(static_cast<double>(codel_drop_count_));
-    return true;
-  }
-  return false;
-}
-
-void ComputeServer::record_sojourn_locked(double sojourn) {
-  sojourn_ring_[sojourn_count_ % sojourn_ring_.size()] = sojourn;
-  ++sojourn_count_;
-}
-
-double ComputeServer::sojourn_p95_locked() const {
-  const std::size_t n = std::min(sojourn_count_, sojourn_ring_.size());
-  if (n == 0) return 0.0;
-  std::array<double, 128> sorted;
-  std::copy_n(sojourn_ring_.begin(), n, sorted.begin());
-  const auto rank = static_cast<std::size_t>(0.95 * static_cast<double>(n - 1) + 0.5);
-  std::nth_element(sorted.begin(), sorted.begin() + rank, sorted.begin() + n);
-  return sorted[rank];
-}
-
-double ComputeServer::sojourn_p95() const {
-  std::lock_guard<std::mutex> lock(jobs_mu_);
-  return sojourn_p95_locked();
-}
-
 void ComputeServer::unqueue_locked(const ActiveJob& job) {
-  --waiting_jobs_;
-  metrics_.queue_depth.set(waiting_jobs_);
-  const std::uint64_t client_id = job.request.client_id;
-  if (client_id == 0) return;
-  const auto used = waiting_by_client_.find(client_id);
-  if (used != waiting_by_client_.end() && --used->second <= 0) {
-    waiting_by_client_.erase(used);
-  }
+  policy_.leave(job.request.client_id);
+  metrics_.queue_depth.set(policy_.waiting());
 }
 
 void ComputeServer::dispatch_locked(Dispatched& out) {
-  const auto& adm = config_.admission;
-  while (!stopping_.load() && running_jobs_ < effective_concurrency_locked() &&
+  while (!stopping_.load() && running_jobs_ < policy_.concurrency_limit() &&
          !wait_queue_.empty()) {
     const auto it = wait_queue_.begin();
     const std::shared_ptr<ActiveJob> job = it->second;
@@ -403,51 +270,36 @@ void ComputeServer::dispatch_locked(Dispatched& out) {
       out.refused.emplace_back(job, cancelled_in_queue(*job));
       continue;
     }
-    const double now = now_seconds();
-    const double sojourn = now - job->enqueue_time;
-    record_sojourn_locked(sojourn);
-    metrics_.queue_sojourn_s.observe(sojourn);
-    // Sheds at dequeue reply retryably — another, less loaded server may
-    // still make it — with a backpressure hint that damps re-enqueue churn:
-    // without it the client's next attempt lands right back in the same
-    // congested queue.
-    auto shed = [&](const char* reason) {
+    const auto head = policy_.dequeue(job->enqueue_time, job->deadline_abs,
+                                      job->est_service_s, wait_queue_.size(), now_seconds());
+    metrics_.queue_sojourn_s.observe(head.sojourn_s);
+    if (head.verdict != AdmissionPolicy::Verdict::kGrant) {
+      // Sheds at dequeue reply retryably — another, less loaded server may
+      // still make it — with a backpressure hint that damps re-enqueue
+      // churn: without it the client's next attempt lands right back in
+      // the same congested queue.
+      const bool deadline = head.verdict == AdmissionPolicy::Verdict::kShedDeadline;
+      if (deadline) {
+        metrics_.shed_dequeue.inc();
+        metrics_.shed.inc();
+      } else {
+        metrics_.shed_codel.inc();
+      }
+      if (head.backed_off) {
+        metrics_.aimd_backoff.inc();
+        metrics_.concurrency_limit.set(policy_.concurrency_limit());
+      }
+      const char* reason = deadline
+                               ? "overload control: deadline budget lapsed in queue"
+                               : "overload control: queue sojourn above CoDel target";
       auto result = error_result(job->request.request_id, ErrorCode::kServerOverloaded,
-                                 reason, retry_after_locked());
-      result.queue_seconds = sojourn;
+                                 reason, head.retry_after_s);
+      result.queue_seconds = head.sojourn_s;
       NS_DEBUG("server") << config_.name << " shed queued request "
                          << result.request_id << " (" << reason << ")";
       wait_queue_.erase(it);
       unqueue_locked(*job);
       out.refused.emplace_back(job, std::move(result));
-      aimd_on_overload_locked(now);
-    };
-
-    // Deadline sheds at dequeue: the budget lapsed while the job queued, or
-    // (predictively) the remaining budget cannot cover the predicted
-    // service — either way computing would only waste the slot.
-    const bool expired = adm.shed_expired && now >= job->deadline_abs;
-    const bool infeasible =
-        adm.shed_infeasible && job->est_service_s > 0.0 &&
-        now + job->est_service_s + adm.dispatch_slack_s > job->deadline_abs;
-    if (expired || infeasible) {
-      shed_dequeue_.fetch_add(1);
-      metrics_.shed_dequeue.inc();
-      shed_.fetch_add(1);  // legacy aggregate: deadline sheds before compute
-      metrics_.shed.inc();
-      shed("overload control: deadline budget lapsed in queue");
-      continue;
-    }
-
-    // CoDel-style sojourn shedder: under sustained pressure, shedding the
-    // head (and telling its client to back off) is what keeps the queue
-    // wait of everything behind it bounded. Work-conserving tweak: never
-    // shed the only waiter when a slot is free for it.
-    if (adm.codel_target_s > 0.0 && wait_queue_.size() > 1 &&
-        codel_should_drop_locked(sojourn, now)) {
-      shed_codel_.fetch_add(1);
-      metrics_.shed_codel.inc();
-      shed("overload control: queue sojourn above CoDel target");
       continue;
     }
 
@@ -476,83 +328,61 @@ void ComputeServer::dispatch_locked(Dispatched& out) {
 
 bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) {
   if (stopping_.load()) return false;
-
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kPing)) {
-    return conn->send(static_cast<std::uint16_t>(MessageType::kPong), {}).ok();
-  }
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kMetricsQuery)) {
-    serial::Decoder query_dec(msg.payload);
-    auto query = proto::MetricsQuery::decode(query_dec);
-    proto::MetricsDump dump;
-    dump.snapshot = metrics::Registry::instance().snapshot(
-        query.ok() ? query.value().prefix : std::string{});
-    return conn->send(static_cast<std::uint16_t>(MessageType::kMetricsDump),
-                      encode_payload(dump))
-        .ok();
-  }
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kCancelRequest)) {
-    serial::Decoder cancel_dec(msg.payload);
-    auto cancel = proto::CancelRequest::decode(cancel_dec);
-    if (!cancel.ok()) return false;  // protocol violation: drop
-    metrics_.cancel_requests.inc();
-    proto::CancelAck ack;
-    ack.request_id = cancel.value().request_id;
-    ack.outcome = cancel_jobs(cancel.value().request_id);
-    return conn->send(static_cast<std::uint16_t>(MessageType::kCancelAck),
-                      encode_payload(ack))
-        .ok();
-  }
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kDrainRequest)) {
-    serial::Decoder drain_dec(msg.payload);
-    auto drain_msg = proto::DrainRequest::decode(drain_dec);
-    if (!drain_msg.ok()) return false;  // protocol violation: drop
-    proto::DrainAck ack;
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      ack.running = static_cast<std::uint32_t>(running_jobs_);
-      ack.queued = static_cast<std::uint32_t>(waiting_jobs_);
+  switch (static_cast<MessageType>(msg.type)) {
+    case MessageType::kPing:
+      return conn->send(static_cast<std::uint16_t>(MessageType::kPong), {}).ok();
+    case MessageType::kMetricsQuery: {
+      // A query that does not decode is answered with the whole registry.
+      serial::Decoder dec(msg.payload);
+      auto query = proto::MetricsQuery::decode(dec);
+      proto::MetricsDump dump;
+      dump.snapshot = metrics::Registry::instance().snapshot(
+          query.ok() ? query.value().prefix : std::string{});
+      return conn->send(static_cast<std::uint16_t>(MessageType::kMetricsDump),
+                        encode_payload(dump))
+          .ok();
     }
-    ack.started = start_drain(drain_msg.value().deadline_s);
-    return conn->send(static_cast<std::uint16_t>(MessageType::kDrainAck),
-                      encode_payload(ack))
-        .ok();
+    case MessageType::kCancelRequest:
+      return serve<proto::CancelRequest>(
+          conn, msg.payload, MessageType::kCancelAck, [&](const proto::CancelRequest& cancel) {
+            metrics_.cancel_requests.inc();
+            proto::CancelAck ack;
+            ack.request_id = cancel.request_id;
+            ack.outcome = cancel_jobs(cancel.request_id);
+            return ack;
+          });
+    case MessageType::kDrainRequest:
+      return serve<proto::DrainRequest>(
+          conn, msg.payload, MessageType::kDrainAck, [&](const proto::DrainRequest& drain) {
+            proto::DrainAck ack;
+            {
+              std::lock_guard<std::mutex> lock(jobs_mu_);
+              ack.running = static_cast<std::uint32_t>(running_jobs_);
+              ack.queued = static_cast<std::uint32_t>(policy_.waiting());
+            }
+            ack.started = start_drain(drain.deadline_s);
+            return ack;
+          });
+    case MessageType::kProbeRequest:
+      return serve<proto::ProbeRequest>(conn, msg.payload, MessageType::kProbeReply,
+                                        [&](const auto& probe) { return probe_job(probe); });
+    case MessageType::kJobTransfer:
+      return serve<proto::JobTransfer>(
+          conn, msg.payload, MessageType::kTransferAck,
+          [&](proto::JobTransfer transfer) { return accept_transfer(std::move(transfer)); });
+    case MessageType::kCheckpointPut:
+      return serve<proto::CheckpointPut>(
+          conn, msg.payload, MessageType::kCheckpointPutAck,
+          [&](proto::CheckpointPut put) { return accept_checkpoint(std::move(put)); });
+    case MessageType::kCheckpointFetch:
+      return serve<proto::CheckpointFetch>(
+          conn, msg.payload, MessageType::kCheckpointFetchReply,
+          [&](const auto& fetch) { return handle_checkpoint_fetch(fetch); });
+    case MessageType::kSolveRequest:
+      return handle_solve(conn, msg.payload);
+    default:
+      return false;  // protocol violation: drop
   }
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kProbeRequest)) {
-    serial::Decoder probe_dec(msg.payload);
-    auto probe = proto::ProbeRequest::decode(probe_dec);
-    if (!probe.ok()) return false;  // protocol violation: drop
-    return conn->send(static_cast<std::uint16_t>(MessageType::kProbeReply),
-                      encode_payload(probe_job(probe.value())))
-        .ok();
-  }
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kJobTransfer)) {
-    serial::Decoder transfer_dec(msg.payload);
-    auto transfer = proto::JobTransfer::decode(transfer_dec);
-    if (!transfer.ok()) return false;  // protocol violation: drop
-    return conn->send(static_cast<std::uint16_t>(MessageType::kTransferAck),
-                      encode_payload(accept_transfer(std::move(transfer).value())))
-        .ok();
-  }
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kCheckpointPut)) {
-    serial::Decoder put_dec(msg.payload);
-    auto put = proto::CheckpointPut::decode(put_dec);
-    if (!put.ok()) return false;  // protocol violation: drop
-    return conn->send(static_cast<std::uint16_t>(MessageType::kCheckpointPutAck),
-                      encode_payload(accept_checkpoint(std::move(put).value())))
-        .ok();
-  }
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kCheckpointFetch)) {
-    serial::Decoder fetch_dec(msg.payload);
-    auto fetch = proto::CheckpointFetch::decode(fetch_dec);
-    if (!fetch.ok()) return false;  // protocol violation: drop
-    return conn->send(static_cast<std::uint16_t>(MessageType::kCheckpointFetchReply),
-                      encode_payload(handle_checkpoint_fetch(fetch.value())))
-        .ok();
-  }
-  if (msg.type != static_cast<std::uint16_t>(MessageType::kSolveRequest)) {
-    return false;  // protocol violation: drop
-  }
-  return handle_solve(conn, msg.payload);
 }
 
 bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
@@ -664,53 +494,33 @@ ComputeServer::Dispatched ComputeServer::submit(std::shared_ptr<ActiveJob> job) 
   job->ws_bytes = estimate_working_set_bytes(request);
   Dispatched out;
   std::unique_lock<std::mutex> lock(jobs_mu_);
-  const auto& adm = config_.admission;
   auto refuse = [&](const char* message, double retry_after_s) {
     out.refused.emplace_back(job, error_result(request.request_id,
                                                ErrorCode::kServerOverloaded, message,
                                                retry_after_s));
     return out;
   };
-  // Recovered and transferred-in jobs (readmit) skip the admission
-  // rejections: they were accepted once already, and shedding them now
-  // would turn a durability guarantee into a coin flip.
-  if (!job->readmit && config_.max_queue > 0 && waiting_jobs_ >= config_.max_queue) {
-    metrics_.rejected.inc();
-    return refuse("admission control: queue full", retry_after_locked());
-  }
-  // Per-client fair share: when quotas are on, a single client id may
-  // occupy at most its fraction of the queue slots. Anonymous requests
-  // (client_id 0 — older clients) are exempt rather than lumped into
-  // one shared bucket that they would starve each other out of.
-  if (!job->readmit && adm.quota_fraction > 0.0 && config_.max_queue > 0 &&
-      request.client_id != 0) {
-    const int quota = std::max(
-        1, static_cast<int>(std::llround(adm.quota_fraction * config_.max_queue)));
-    const auto used = waiting_by_client_.find(request.client_id);
-    if (used != waiting_by_client_.end() && used->second >= quota) {
-      shed_quota_.fetch_add(1);
+  // The deadline budget left, measured now: it shrinks while we work.
+  auto remaining = [&] {
+    return request.deadline_s > 0.0 ? request.deadline_s - job->since_receipt.elapsed()
+                                     : AdmissionPolicy::kNoDeadline;
+  };
+  switch (policy_.admit(request.client_id, remaining(), est_service, job->readmit)) {
+    case AdmissionPolicy::Admit::kAccept:
+      break;
+    case AdmissionPolicy::Admit::kQueueFull:
+      metrics_.rejected.inc();
+      return refuse("admission control: queue full", policy_.retry_after());
+    case AdmissionPolicy::Admit::kQuota:
       metrics_.shed_quota.inc();
-      return refuse("admission control: per-client quota exceeded", retry_after_locked());
-    }
-  }
-  // Infeasible at admission: the predicted service time alone already
-  // exceeds the remaining budget, so even an empty queue cannot save
-  // this job. Shedding now (retryably) lets the client spend its budget
-  // on a faster server instead of on our queue.
-  if (!job->readmit && adm.shed_infeasible && request.deadline_s > 0.0 &&
-      est_service > 0.0) {
-    const double remaining = request.deadline_s - job->since_receipt.elapsed();
-    if (est_service + adm.dispatch_slack_s > remaining) {
-      shed_admission_.fetch_add(1);
+      return refuse("admission control: per-client quota exceeded", policy_.retry_after());
+    case AdmissionPolicy::Admit::kInfeasible:
       metrics_.shed_admission.inc();
-      shed_.fetch_add(1);  // legacy aggregate: deadline sheds before compute
       metrics_.shed.inc();
       NS_DEBUG("server") << config_.name << " shed request " << request.request_id
-                         << " at admission (predicted " << est_service
-                         << "s > remaining " << remaining << "s)";
+                         << " at admission (predicted " << est_service << "s)";
       return refuse("admission control: predicted service time exceeds deadline budget",
                     0.0);
-    }
   }
   // Memory admission: the payload is charged to the governor before the
   // job may queue (the bytes already exist in RAM — the account must say
@@ -730,7 +540,7 @@ ComputeServer::Dispatched ComputeServer::submit(std::shared_ptr<ActiveJob> job) 
       mem_dirty_.store(true);
       return refuse(oversized ? "memory governor: payload + working set exceed per-job budget"
                               : "memory governor: payload does not fit the budget",
-                    retry_after_locked());
+                    policy_.retry_after());
     }
     if (job->readmit && !governor_.try_charge(job->payload_bytes)) {
       governor_.charge_forced(job->payload_bytes);
@@ -754,21 +564,17 @@ ComputeServer::Dispatched ComputeServer::submit(std::shared_ptr<ActiveJob> job) 
     return true;
   };
   if (stopped_or_cancelled(/*counted=*/false)) return out;
-  // Admit into the EDF wait queue. With EDF off the key degenerates to
-  // the arrival sequence number, i.e. plain FIFO. No-deadline jobs sort
-  // last under EDF (deadline_abs ~ +inf) — they can afford to wait.
+  // Into the wait queue, in the policy's order: no-deadline jobs sort last
+  // under EDF — they can afford to wait.
   metrics_.admit.inc();
   const double now = now_seconds();
   job->enqueue_time = now;
-  job->deadline_abs = request.deadline_s > 0.0
-                          ? now + (request.deadline_s - job->since_receipt.elapsed())
-                          : 1e300;
+  job->deadline_abs =
+      request.deadline_s > 0.0 ? now + remaining() : AdmissionPolicy::kNoDeadline;
   job->est_service_s = est_service;
-  job->queue_key = {adm.edf ? job->deadline_abs : 0.0, queue_seq_++};
+  job->queue_key = policy_.enqueue(request.client_id, job->deadline_abs);
   wait_queue_.emplace(job->queue_key, job);
-  if (request.client_id != 0) ++waiting_by_client_[request.client_id];
-  ++waiting_jobs_;
-  metrics_.queue_depth.set(waiting_jobs_);
+  metrics_.queue_depth.set(policy_.waiting());
   dispatch_locked(out);
   // Queued-but-cold payload spill: a job the dispatcher did not grant
   // immediately parks its encoded request on disk (through the vfs seam)
@@ -817,11 +623,8 @@ void ComputeServer::execute(const std::shared_ptr<ActiveJob>& job) {
     {
       std::lock_guard<std::mutex> lock(jobs_mu_);
       --running_jobs_;
-      if (succeeded) {
-        aimd_on_success_locked();
-        // Service-time EWMA feeds the retry_after backpressure hint.
-        service_ewma_s_ =
-            service_ewma_s_ == 0.0 ? elapsed : 0.8 * service_ewma_s_ + 0.2 * elapsed;
+      if (succeeded && policy_.on_success(elapsed)) {
+        metrics_.concurrency_limit.set(policy_.concurrency_limit());
       }
       dispatch_locked(next);
     }
@@ -1050,7 +853,7 @@ proto::SolveResult ComputeServer::cancelled_in_queue(const ActiveJob& job) {
 
 double ComputeServer::current_workload() const {
   std::lock_guard<std::mutex> lock(jobs_mu_);
-  return static_cast<double>(running_jobs_ + waiting_jobs_) + background_load_.load();
+  return static_cast<double>(running_jobs_ + policy_.waiting()) + background_load_.load();
 }
 
 void ComputeServer::send_workload_report(double workload) {
@@ -1060,9 +863,8 @@ void ComputeServer::send_workload_report(double workload) {
   double free_slots = 0.0;
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
-    sojourn_p95 = sojourn_p95_locked();
-    free_slots =
-        static_cast<double>(std::max(0, effective_concurrency_locked() - running_jobs_));
+    sojourn_p95 = policy_.sojourn_p95();
+    free_slots = static_cast<double>(std::max(0, policy_.concurrency_limit() - running_jobs_));
   }
   // Fan out to every agent we ever registered with; ids are agent-local so
   // each link carries its own. Reports ride the keep-alive pool — one warm
@@ -1612,7 +1414,7 @@ void ComputeServer::replicate_checkpoint(ActiveJob& job,
     job.repl_peers.assign(config_.replicas.size(), ActiveJob::ReplPeer{});
   }
   const double now = now_seconds();
-  const bool has_deadline = job.deadline_abs < 1e299;
+  const bool has_deadline = job.deadline_abs < AdmissionPolicy::kNoDeadline;
   const double deadline_remaining =
       has_deadline ? std::max(job.deadline_abs - now, 0.0) : 0.0;
 
@@ -1950,7 +1752,7 @@ std::vector<proto::ServerCandidate> ComputeServer::query_candidates(
 }
 
 bool ComputeServer::migrate_job(ActiveJob& job, proto::SolveResult& result) {
-  const bool has_deadline = job.deadline_abs < 1e299;
+  const bool has_deadline = job.deadline_abs < AdmissionPolicy::kNoDeadline;
   const double remaining = has_deadline ? job.deadline_abs - now_seconds() : 0.0;
   if (has_deadline && remaining <= 0.0) return false;  // nothing left to hand over
 
@@ -2058,7 +1860,7 @@ void ComputeServer::drain_work(double deadline_s) {
   auto quiescent = [this] {
     {
       std::lock_guard<std::mutex> lock(jobs_mu_);
-      if (running_jobs_ + waiting_jobs_ != 0) return false;
+      if (running_jobs_ + policy_.waiting() != 0) return false;
     }
     std::lock_guard<std::mutex> lock(active_jobs_mu_);
     return active_jobs_.empty();

@@ -22,7 +22,6 @@
 // error replies, dropped connections mid-request, or a full crash.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <deque>
 #include <map>
@@ -47,6 +46,7 @@
 #include "net/task_pool.hpp"
 #include "net/transport.hpp"
 #include "proto/messages.hpp"
+#include "server/admission.hpp"
 #include "server/journal.hpp"
 
 namespace ns::server {
@@ -71,53 +71,6 @@ struct FailureSpec {
 /// processor); kSleep yields it (honest when each server stands in for an
 /// independent remote machine — the multi-machine scheduling experiments).
 enum class SlowdownMode { kSpin, kSleep };
-
-/// Overload control for the admission queue (see DESIGN.md §13). The
-/// defaults keep the pre-existing behavior observable by tests — EDF is
-/// benign without deadlines (it degrades to FIFO), the CoDel shedder and
-/// per-client quotas are opt-in, and the AIMD limit starts disabled so the
-/// static worker count still rules unless a deployment turns it on.
-struct AdmissionConfig {
-  /// Order the wait queue earliest-deadline-first instead of by arrival.
-  /// Jobs without a deadline sort last (FIFO among themselves).
-  bool edf = true;
-  /// Shed at admission when the remaining deadline budget is already below
-  /// the predicted service time (complexity model / rated speed), and shed
-  /// at dequeue when the predicted completion would overshoot the deadline.
-  bool shed_infeasible = true;
-  /// Shed jobs whose deadline lapsed while they queued at dequeue time,
-  /// retryably, instead of computing an answer nobody is waiting for.
-  /// Exists as a knob only so benches can measure the uncontrolled baseline.
-  bool shed_expired = true;
-  /// Headroom added to the predicted service time in both feasibility
-  /// checks. EDF serves the most-urgent feasible job, which under overload
-  /// is always the one at the feasibility edge — without slack for the
-  /// reply transfer and thread scheduling, those jobs complete a hair past
-  /// their deadline: compute spent, client already gone.
-  double dispatch_slack_s = 0.02;
-  /// CoDel-style sojourn shedder: once the queue wait of dequeued jobs has
-  /// stayed above `codel_target_s` for a full `codel_interval_s`, shed
-  /// queued jobs at dequeue with the classic interval/sqrt(count) cadence
-  /// until the sojourn drops back under the target. 0 disables.
-  double codel_target_s = 0.0;
-  double codel_interval_s = 0.5;
-  /// Per-client fair share: with a bounded queue (max_queue > 0), one
-  /// client may occupy at most max(1, quota_fraction * max_queue) waiting
-  /// slots; requests beyond that are rejected retryably so a greedy client
-  /// cannot starve the rest. 0 disables. Requests without a client id
-  /// (older peers) are exempt.
-  double quota_fraction = 0.0;
-  /// AIMD concurrency limit replacing the static worker count: additive
-  /// increase (+1 after a limit's worth of clean completions, up to
-  /// aimd_max), multiplicative decrease (* aimd_beta, floored at aimd_min)
-  /// on every overload signal (deadline or CoDel shed), decreases spaced at
-  /// least 100 ms apart so one burst does not collapse the limit.
-  bool aimd = false;
-  int aimd_min = 1;
-  /// Upper bound for additive growth; 0 = the configured worker count.
-  int aimd_max = 0;
-  double aimd_beta = 0.7;
-};
 
 struct ServerConfig {
   std::string name = "server";
@@ -241,23 +194,20 @@ class ComputeServer {
 
   /// Requests fully executed (successful replies sent).
   std::uint64_t completed() const noexcept { return completed_.load(); }
-  /// Requests shed because their deadline budget lapsed before execution
-  /// (admission-infeasible + expired-at-dequeue; the legacy aggregate).
-  std::uint64_t shed() const noexcept { return shed_.load(); }
   /// Requests shed at admission: remaining budget below predicted service.
-  std::uint64_t shed_admission() const noexcept { return shed_admission_.load(); }
+  std::uint64_t shed_admission() const { return read_policy(&AdmissionPolicy::shed_admission); }
   /// Requests shed at dequeue: deadline lapsed while queued, dropped
   /// retryably before any compute happened.
-  std::uint64_t shed_dequeue() const noexcept { return shed_dequeue_.load(); }
+  std::uint64_t shed_dequeue() const { return read_policy(&AdmissionPolicy::shed_dequeue); }
   /// Requests shed by the CoDel sojourn controller.
-  std::uint64_t shed_codel() const noexcept { return shed_codel_.load(); }
+  std::uint64_t shed_codel() const { return read_policy(&AdmissionPolicy::shed_codel); }
   /// Requests rejected by the per-client fair-share quota.
-  std::uint64_t shed_quota() const noexcept { return shed_quota_.load(); }
+  std::uint64_t shed_quota() const { return read_policy(&AdmissionPolicy::shed_quota); }
   /// The current (possibly AIMD-adapted) concurrency limit.
-  int concurrency_limit() const;
+  int concurrency_limit() const { return read_policy(&AdmissionPolicy::concurrency_limit); }
   /// Recent p95 of queue sojourn (the value piggybacked on workload
   /// reports); 0 until anything has been dequeued.
-  double sojourn_p95() const;
+  double sojourn_p95() const { return read_policy(&AdmissionPolicy::sojourn_p95); }
   /// Requests cancelled while still waiting for a worker slot.
   std::uint64_t cancelled_queued() const noexcept { return cancelled_queued_.load(); }
   /// Requests cancelled mid-compute (kernel checkpoint unwound).
@@ -346,56 +296,57 @@ class ComputeServer {
   /// and histograms aggregate across all servers in the process; the queue
   /// depth gauge is per-server (keyed by name) since depths do not sum.
   struct ServerMetrics {
-    explicit ServerMetrics(const std::string& name);
-    metrics::Counter& requests;
-    metrics::Counter& completed;
-    metrics::Counter& admit;
-    metrics::Counter& shed;
-    metrics::Counter& shed_admission;
-    metrics::Counter& shed_dequeue;
-    metrics::Counter& shed_codel;
-    metrics::Counter& shed_quota;
-    metrics::Counter& aimd_backoff;
-    metrics::Counter& rejected;
-    metrics::Counter& exec_errors;
-    metrics::Counter& cancelled_queued;
-    metrics::Counter& cancelled_running;
-    metrics::Counter& cancel_requests;
-    metrics::Counter& drain_rejected;
-    metrics::Counter& journal_appends;
-    metrics::Counter& jobs_recovered;
-    metrics::Counter& jobs_migrated;
-    metrics::Counter& jobs_resumed;
+    explicit ServerMetrics(std::string server_name) : name(std::move(server_name)) {}
+    const std::string name;  // keys the per-server gauges
+    metrics::Counter& requests = metrics::counter("server.requests_total");
+    metrics::Counter& completed = metrics::counter("server.completed_total");
+    metrics::Counter& admit = metrics::counter("server.admit_total");
+    metrics::Counter& shed = metrics::counter("server.shed_total");
+    metrics::Counter& shed_admission = metrics::counter("server.shed_admission_total");
+    metrics::Counter& shed_dequeue = metrics::counter("server.shed_dequeue_total");
+    metrics::Counter& shed_codel = metrics::counter("server.shed_codel_total");
+    metrics::Counter& shed_quota = metrics::counter("server.shed_quota_total");
+    metrics::Counter& aimd_backoff = metrics::counter("server.aimd_backoff_total");
+    metrics::Counter& rejected = metrics::counter("server.rejected_total");
+    metrics::Counter& exec_errors = metrics::counter("server.exec_errors_total");
+    metrics::Counter& cancelled_queued = metrics::counter("server.cancelled_queued_total");
+    metrics::Counter& cancelled_running = metrics::counter("server.cancelled_running_total");
+    metrics::Counter& cancel_requests = metrics::counter("server.cancel_requests_total");
+    metrics::Counter& drain_rejected = metrics::counter("server.drain_rejected_total");
+    metrics::Counter& journal_appends = metrics::counter("server.journal_appends_total");
+    metrics::Counter& jobs_recovered = metrics::counter("server.jobs_recovered_total");
+    metrics::Counter& jobs_migrated = metrics::counter("server.jobs_migrated_total");
+    metrics::Counter& jobs_resumed = metrics::counter("server.jobs_resumed_total");
     // Storage-fault armor (store.*): disk failures survived, degradation,
     // and checkpoint replication. Raw vs wire bytes expose the compression
     // ratio (the `store.ckpt_bytes_total{raw,wire}` pair of DESIGN.md §17).
-    metrics::Counter& store_write_errors;
-    metrics::Counter& store_degraded_shed;
-    metrics::Counter& store_ckpt_replicated;
-    metrics::Counter& store_ckpt_raw_bytes;
-    metrics::Counter& store_ckpt_wire_bytes;
-    metrics::Counter& store_failover_resume;
-    metrics::Gauge& store_degraded;
+    metrics::Counter& store_write_errors = metrics::counter("store.write_errors_total");
+    metrics::Counter& store_degraded_shed = metrics::counter("store.degraded_shed_total");
+    metrics::Counter& store_ckpt_replicated = metrics::counter("store.ckpt_replicated_total");
+    metrics::Counter& store_ckpt_raw_bytes = metrics::counter("store.ckpt_raw_bytes_total");
+    metrics::Counter& store_ckpt_wire_bytes = metrics::counter("store.ckpt_wire_bytes_total");
+    metrics::Counter& store_failover_resume = metrics::counter("store.failover_resume_total");
+    metrics::Gauge& store_degraded = metrics::gauge("store." + name + ".degraded");
     // Memory governance (mem.*): byte-accounted admission, payload spill,
     // and allocation-failure hardening. Counters are process-wide; the
     // accounted/peak/budget gauges are per-server (keyed by name) since
     // byte accounts do not sum meaningfully across servers.
-    metrics::Counter& mem_shed;
-    metrics::Counter& mem_spilled_bytes;
-    metrics::Counter& mem_spill_reloads;
-    metrics::Counter& mem_spill_reload_errors;
-    metrics::Counter& mem_bad_alloc;
-    metrics::Counter& mem_replica_evicted;
-    metrics::Counter& mem_forced_charge;
-    metrics::Gauge& mem_accounted;
-    metrics::Gauge& mem_peak;
-    metrics::Gauge& mem_budget;
-    metrics::Gauge& mem_spill_active;
-    metrics::Histogram& queue_sojourn_s;
-    metrics::Histogram& compute_s;
-    metrics::Gauge& queue_depth;
-    metrics::Gauge& concurrency_limit;
-    metrics::Gauge& draining;
+    metrics::Counter& mem_shed = metrics::counter("mem.shed_total");
+    metrics::Counter& mem_spilled_bytes = metrics::counter("mem.spilled_bytes_total");
+    metrics::Counter& mem_spill_reloads = metrics::counter("mem.spill_reloads_total");
+    metrics::Counter& mem_spill_reload_errors = metrics::counter("mem.spill_reload_errors_total");
+    metrics::Counter& mem_bad_alloc = metrics::counter("mem.bad_alloc_total");
+    metrics::Counter& mem_replica_evicted = metrics::counter("mem.replica_evicted_total");
+    metrics::Counter& mem_forced_charge = metrics::counter("mem.forced_charge_total");
+    metrics::Gauge& mem_accounted = metrics::gauge("mem." + name + ".accounted_bytes");
+    metrics::Gauge& mem_peak = metrics::gauge("mem." + name + ".peak_bytes");
+    metrics::Gauge& mem_budget = metrics::gauge("mem." + name + ".budget_bytes");
+    metrics::Gauge& mem_spill_active = metrics::gauge("mem." + name + ".spill_active");
+    metrics::Histogram& queue_sojourn_s = metrics::histogram("server.queue_sojourn_s");
+    metrics::Histogram& compute_s = metrics::histogram("server.compute_s");
+    metrics::Gauge& queue_depth = metrics::gauge("server." + name + ".queue_depth");
+    metrics::Gauge& concurrency_limit = metrics::gauge("server." + name + ".concurrency_limit");
+    metrics::Gauge& draining = metrics::gauge("server." + name + ".draining");
   };
 
   /// One admitted job, visible (keyed by request_id) in active_jobs_ from
@@ -432,7 +383,7 @@ class ComputeServer {
     /// An ADMITTED record for this job is on disk (terminal record owed).
     bool journaled = false;
     // ---- wait-queue state (under jobs_mu_) ----
-    std::pair<double, std::uint64_t> queue_key;  // EDF (deadline, seq) or (0, seq)
+    AdmissionPolicy::QueueKey queue_key;
     double enqueue_time = 0.0;    // now_seconds() at admission
     double est_service_s = 0.0;   // predicted compute time (0 = unknown)
     // ---- memory accounting (mutated under jobs_mu_ until dispatch; owner-
@@ -454,9 +405,9 @@ class ComputeServer {
     bool spilled = false;
     std::int64_t admitted_wall_us = 0;        // ADMITTED record stamp
     double admit_deadline_remaining_s = 0.0;  // budget left at admission
-    /// Absolute deadline fixed at enqueue (1e300 = none): the EDF key, and
-    /// the hand-off budget for migration and replication.
-    double deadline_abs = 1e300;
+    /// Absolute deadline fixed at enqueue: the EDF key, and the hand-off
+    /// budget for migration and replication.
+    double deadline_abs = AdmissionPolicy::kNoDeadline;
 
     // ---- checkpoint replication state ----
     // Touched only from the thread executing the job (the on_snapshot
@@ -538,16 +489,12 @@ class ComputeServer {
   void dispatch_locked(Dispatched& out);
   /// Waiting-side bookkeeping for a job leaving wait_queue_.
   void unqueue_locked(const ActiveJob& job);
-  int effective_concurrency_locked() const;
-  /// Backpressure hint: expected time until a waiting slot frees, from the
-  /// service-time EWMA and the current queue depth.
-  double retry_after_locked() const;
-  /// The CoDel control law, evaluated on the head-of-queue sojourn.
-  bool codel_should_drop_locked(double sojourn, double now);
-  void aimd_on_success_locked();
-  void aimd_on_overload_locked(double now);
-  void record_sojourn_locked(double sojourn);
-  double sojourn_p95_locked() const;
+  /// One reading of the admission policy, under jobs_mu_.
+  template <typename R>
+  R read_policy(R (AdmissionPolicy::*read)() const) const {
+    std::lock_guard<std::mutex> lock(jobs_mu_);
+    return (policy_.*read)();
+  }
   /// Decide failure injection for one request; returns the triggered mode.
   FailureSpec::Mode roll_failure();
   /// Trip the token of every active job carrying `request_id` and finish
@@ -667,30 +614,13 @@ class ComputeServer {
   std::multimap<std::uint64_t, std::shared_ptr<ActiveJob>> active_jobs_;
 
   // Admission queue + worker-slot gate. submit() inserts jobs;
-  // dispatch_locked() hands out worker slots in EDF order and sheds what
-  // cannot meet its deadline. waiting_jobs_ also counts a job that is off
-  // the queue only while its payload spills.
+  // dispatch_locked() hands out worker slots in the policy's order and sheds
+  // what the policy refuses. The policy's waiting count also covers a job
+  // that is off the queue only while its payload spills.
   mutable std::mutex jobs_mu_;
   int running_jobs_ = 0;
-  int waiting_jobs_ = 0;
-  std::map<std::pair<double, std::uint64_t>, std::shared_ptr<ActiveJob>> wait_queue_;
-  std::uint64_t queue_seq_ = 0;
-  std::map<std::uint64_t, int> waiting_by_client_;
-  /// AIMD state: the fractional limit (effective limit = floor, >= aimd_min)
-  /// and the clean-completion count toward the next additive increase.
-  double concurrency_limit_f_ = 0.0;
-  int aimd_successes_ = 0;
-  double aimd_last_decrease_ = 0.0;
-  /// CoDel controller state.
-  double codel_first_above_ = 0.0;  // 0 = sojourn currently under target
-  double codel_drop_next_ = 0.0;
-  std::uint32_t codel_drop_count_ = 0;
-  bool codel_dropping_ = false;
-  /// EWMA of successful service times, feeding the retry_after hints.
-  double service_ewma_s_ = 0.0;
-  /// Ring of recent sojourns; p95 over it is the queue-pressure piggyback.
-  std::array<double, 128> sojourn_ring_{};
-  std::size_t sojourn_count_ = 0;
+  std::map<AdmissionPolicy::QueueKey, std::shared_ptr<ActiveJob>> wait_queue_;
+  AdmissionPolicy policy_;
 
   mutable std::mutex failure_mu_;
   Rng failure_rng_;
@@ -698,11 +628,6 @@ class ComputeServer {
   std::atomic<double> background_load_;
 
   std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> shed_admission_{0};
-  std::atomic<std::uint64_t> shed_dequeue_{0};
-  std::atomic<std::uint64_t> shed_codel_{0};
-  std::atomic<std::uint64_t> shed_quota_{0};
   std::atomic<std::uint64_t> cancelled_queued_{0};
   std::atomic<std::uint64_t> cancelled_running_{0};
   std::atomic<std::uint64_t> drain_rejected_{0};

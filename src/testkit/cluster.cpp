@@ -28,6 +28,35 @@ agent::AgentConfig TestCluster::agent_config_for(std::size_t i) const {
   return ac;
 }
 
+server::ServerConfig TestCluster::server_config_for(std::size_t i) const {
+  const auto& spec = config_.servers.at(i);
+  server::ServerConfig sc;
+  sc.name = spec.name;
+  sc.agents = agent_endpoints_;
+  sc.reregister_period_s = spec.reregister_period_s;
+  sc.workers = spec.workers;
+  sc.max_queue = spec.max_queue;
+  sc.admission = spec.admission;
+  sc.speed_factor = spec.speed;
+  sc.slowdown_mode = spec.slowdown_mode;
+  sc.rating_override = rating_base_;
+  sc.report_period_s = spec.report_period_s;
+  sc.report_threshold = spec.report_threshold;
+  sc.background_load = spec.background_load;
+  sc.link = spec.link;
+  sc.io_timeout_s = config_.io_timeout_s;
+  sc.failure = spec.failure;
+  sc.problem_filter = spec.problems;
+  sc.data_dir = spec.data_dir;
+  sc.checkpoint_interval = spec.checkpoint_interval;
+  sc.journal_fsync = spec.journal_fsync;
+  sc.migrate_on_drain = spec.migrate_on_drain;
+  sc.guard = spec.guard;
+  sc.checkpoint_compress = spec.checkpoint_compress;
+  sc.mem = spec.mem;
+  return sc;
+}
+
 Result<std::unique_ptr<TestCluster>> TestCluster::start(ClusterConfig config) {
   if (config.servers.empty()) {
     return make_error(ErrorCode::kBadArguments, "cluster needs at least one server");
@@ -60,31 +89,9 @@ Result<std::unique_ptr<TestCluster>> TestCluster::start(ClusterConfig config) {
   }
 
   std::uint64_t seed = 0xbada55;
-  for (const auto& spec : config.servers) {
-    server::ServerConfig sc;
-    sc.name = spec.name;
-    sc.agents = cluster->agent_endpoints_;
-    sc.reregister_period_s = spec.reregister_period_s;
-    sc.workers = spec.workers;
-    sc.max_queue = spec.max_queue;
-    sc.admission = spec.admission;
-    sc.speed_factor = spec.speed;
-    sc.slowdown_mode = spec.slowdown_mode;
-    sc.rating_override = cluster->rating_base_;
-    sc.report_period_s = spec.report_period_s;
-    sc.report_threshold = spec.report_threshold;
-    sc.background_load = spec.background_load;
-    sc.link = spec.link;
-    sc.io_timeout_s = config.io_timeout_s;
-    sc.failure = spec.failure;
-    sc.problem_filter = spec.problems;
-    sc.data_dir = spec.data_dir;
-    sc.checkpoint_interval = spec.checkpoint_interval;
-    sc.journal_fsync = spec.journal_fsync;
-    sc.migrate_on_drain = spec.migrate_on_drain;
-    sc.guard = spec.guard;
-    sc.checkpoint_compress = spec.checkpoint_compress;
-    sc.mem = spec.mem;
+  for (std::size_t i = 0; i < config.servers.size(); ++i) {
+    const auto& spec = config.servers[i];
+    server::ServerConfig sc = cluster->server_config_for(i);
     for (std::size_t j : spec.replicas) {
       if (j < cluster->servers_.size() && cluster->servers_[j]) {
         sc.replicas.push_back(cluster->servers_[j]->endpoint());
@@ -225,31 +232,8 @@ Status TestCluster::restart_server(std::size_t i) {
   net::ConnectionPool::instance().evict(listen);
 
   const auto& spec = config_.servers.at(i);
-  server::ServerConfig sc;
-  sc.name = spec.name;
+  server::ServerConfig sc = server_config_for(i);
   sc.listen = listen;
-  sc.agents = agent_endpoints_;
-  sc.reregister_period_s = spec.reregister_period_s;
-  sc.workers = spec.workers;
-  sc.max_queue = spec.max_queue;
-  sc.admission = spec.admission;
-  sc.speed_factor = spec.speed;
-  sc.slowdown_mode = spec.slowdown_mode;
-  sc.rating_override = rating_base_;
-  sc.report_period_s = spec.report_period_s;
-  sc.report_threshold = spec.report_threshold;
-  sc.background_load = spec.background_load;
-  sc.link = spec.link;
-  sc.io_timeout_s = config_.io_timeout_s;
-  sc.failure = spec.failure;
-  sc.problem_filter = spec.problems;
-  sc.data_dir = spec.data_dir;
-  sc.checkpoint_interval = spec.checkpoint_interval;
-  sc.journal_fsync = spec.journal_fsync;
-  sc.migrate_on_drain = spec.migrate_on_drain;
-  sc.guard = spec.guard;
-  sc.checkpoint_compress = spec.checkpoint_compress;
-  sc.mem = spec.mem;
   for (std::size_t j : spec.replicas) {
     if (j != i && j < servers_.size() && servers_[j]) {
       sc.replicas.push_back(servers_[j]->endpoint());

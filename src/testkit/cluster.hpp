@@ -223,6 +223,8 @@ class TestCluster {
   TestCluster() = default;
 
   agent::AgentConfig agent_config_for(std::size_t i) const;
+  /// Server i's config from its spec, less listen address, replicas and seed.
+  server::ServerConfig server_config_for(std::size_t i) const;
 
   ClusterConfig config_;
   double rating_base_ = 0.0;

@@ -357,10 +357,6 @@ TEST_F(ChaosClusterTest, ServerShedsExpiredWork) {
   testkit::ClusterConfig config;
   config.servers = testkit::uniform_pool(1, /*workers=*/1);
   config.servers[0].slowdown_mode = server::SlowdownMode::kSleep;
-  // This test targets the dequeue-time shed specifically: predictive
-  // admission would reject the worker-occupying long job outright (its own
-  // budget cannot cover its predicted 1s service), so turn it off here.
-  config.servers[0].admission.shed_infeasible = false;
   config.rating_base = 500.0;
   config.io_timeout_s = 0.5;
   config.client_deadline_s = 0.4;
@@ -368,18 +364,27 @@ TEST_F(ChaosClusterTest, ServerShedsExpiredWork) {
   ASSERT_TRUE(cluster.ok());
   cluster_ = std::move(cluster).value();
 
-  auto client = cluster_->make_client();
-  // Occupy the single worker for ~1s, then queue a short-budget call behind
-  // it: by the time a slot frees, the budget has lapsed and the server sheds
-  // the job instead of executing it.
-  auto long_job = client.netsl_nb("simwork", {DataObject(std::int64_t{500})});
+  // The worker-occupying long job (~1s) comes from an unbudgeted client:
+  // under the cluster's 0.4s budget, admission would shed it as infeasible
+  // before it ever held the worker.
+  client::ClientConfig occupier_config;
+  occupier_config.agents = {cluster_->agent_endpoint()};
+  occupier_config.io_timeout_s = 5.0;
+  occupier_config.deadline_s = 0.0;
+  client::NetSolveClient occupier(occupier_config);
+  auto long_job = occupier.netsl_nb("simwork", {DataObject(std::int64_t{500})});
+  // Queue a short-budget call behind it: by the time a slot frees, the
+  // budget has lapsed and the server sheds the job instead of executing it.
   sleep_seconds(0.05);  // let the long job claim the worker
+  auto client = cluster_->make_client();
   auto out = client.netsl("simwork", {DataObject(std::int64_t{5})});
   EXPECT_FALSE(out.ok());
 
   const Deadline deadline(5.0);
-  while (cluster_->server(0).shed() == 0 && !deadline.expired()) sleep_seconds(0.01);
-  EXPECT_GE(cluster_->server(0).shed(), 1u) << "server never shed the expired job";
+  while (cluster_->server(0).shed_dequeue() == 0 && !deadline.expired()) {
+    sleep_seconds(0.01);
+  }
+  EXPECT_GE(cluster_->server(0).shed_dequeue(), 1u) << "server never shed the expired job";
   (void)long_job.wait();
 }
 

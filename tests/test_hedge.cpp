@@ -300,7 +300,7 @@ TEST(HedgeTest, CancelQueuedAndRunningJobs) {
 
   // Nothing completed, nothing double-counted as shed.
   EXPECT_EQ(server.completed(), 0u);
-  EXPECT_EQ(server.shed(), 0u);
+  EXPECT_EQ(server.shed_admission() + server.shed_dequeue(), 0u);
 }
 
 // Graceful drain under load: every in-flight and queued job still succeeds

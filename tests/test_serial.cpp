@@ -115,6 +115,15 @@ TEST(CodecTest, F64ArrayRoundTrip) {
   enc.put_f64_array(v);
   Decoder dec(enc.bytes());
   EXPECT_EQ(dec.get_f64_array().value(), v);
+
+  // After a u8 the array's elements sit at odd, unaligned offsets.
+  Encoder odd;
+  odd.put_u8(0x5a);
+  odd.put_f64_array(v);
+  Decoder odd_dec(odd.bytes());
+  EXPECT_EQ(odd_dec.get_u8().value(), 0x5a);
+  EXPECT_EQ(odd_dec.get_f64_array().value(), v);
+  EXPECT_TRUE(odd_dec.exhausted());
 }
 
 TEST(CodecTest, I32ArrayRoundTrip) {
